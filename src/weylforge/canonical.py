@@ -6,9 +6,13 @@ Every two-qubit gate factors as
 
 with single-qubit factors a_i, b_i and a core G(c) that carries all the
 nonlocal content.  The triple (c1, c2, c3) is unique once folded into
-the chamber pi/4 >= c1 >= c2 >= |c3|; folding uses the residual freedom
-of the decomposition: shifting any coordinate by a multiple of pi/2,
-permuting the coordinates, and flipping the signs of any two.
+the chamber pi/4 >= c1 >= c2 >= |c3|, with c3 >= 0 on the face
+c1 = pi/4; folding uses the residual freedom of the decomposition:
+shifting any coordinate by a multiple of pi/2, permuting the
+coordinates, and flipping the signs of any two.  The fold is one pass,
+not a search (Zhang et al., PRA 67, 042313 (2003)): shift into
+(-pi/4, pi/4], sort by magnitude, fix the signs of the two largest, and
+settle the sign of c3 on the c1 = pi/4 face.
 
 This module builds the core gate, reduces arbitrary triples to the
 chamber, recovers coordinates from a matrix, and performs the full
@@ -16,7 +20,6 @@ decomposition.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -141,44 +144,38 @@ def in_weyl_chamber(c, tol: float = 1e-12) -> bool:
     return c1 <= QUARTER + tol and c1 >= c2 - tol and c2 >= abs(c3) - tol
 
 
-# The folding group acting on coordinate triples, realized as a finite
-# candidate enumeration: per-coordinate shifts into [0, pi/2) plus an
-# optional extra -pi/2, the four even sign patterns, and all coordinate
-# permutations.  192 candidates cover every chamber representative.
+def _reduce_with_ops(c):
+    """Chamber representative plus the group element that reaches it.
 
-_SIGN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-_PERMUTATIONS = tuple(permutations(range(3)))
+    The element is recorded as (shift K, sign pattern, permutation) with
+    representative[t] = (sign * (c + K*pi/2))[perm[t]].  One pass:
 
-
-def _orbit_candidates(c):
-    """Yield (candidate, (shift K, sign pattern, permutation)) pairs.
-
-    The ops record reconstructs the group element: candidate[t] =
-    (sign * (c + K*pi/2))[perm[t]].
+    1. shift each coordinate by a multiple of pi/2 into (-pi/4, pi/4];
+    2. order the coordinates by magnitude, largest first;
+    3. apply the one even sign flip that makes the two largest
+       non-negative;
+    4. on the face c1 = pi/4 the sign of c3 is not part of the class:
+       if c3 < 0 there, flip (c1, c3) and shift c1 by pi/2, which keeps
+       c1 at pi/4 and makes c3 positive.
     """
     c = np.asarray(c, dtype=float)
-    base = np.mod(c, HALF)
-    kmod = np.round((base - c) / HALF).astype(int)
-    for bits in range(8):
-        kd = np.array([(bits >> i) & 1 for i in range(3)])
-        vals = base - kd * HALF
-        K = kmod - kd
-        for pat in _SIGN_PATTERNS:
-            flipped = vals * np.array(pat)
-            for perm in _PERMUTATIONS:
-                yield tuple(flipped[list(perm)]), (tuple(K), pat, perm)
-
-
-def _reduce_with_ops(c):
-    """Chamber representative plus the group element that reaches it."""
-    best = None
-    for cand, ops in _orbit_candidates(c):
-        if in_weyl_chamber(cand):
-            if best is None or cand > best[0]:
-                best = (cand, ops)
-    if best is None:
-        raise ConsistencyError(f"no chamber representative found for {tuple(c)}")
-    return best
+    # np.mod rather than a rounded quotient: -5.6e-17 maps to pi/2 and
+    # then to an exact 0, not to a tiny negative coordinate
+    vals = np.mod(c, HALF)
+    vals = np.where(vals > QUARTER, vals - HALF, vals)
+    K = np.round((vals - c) / HALF).astype(int)
+    perm = [int(i) for i in np.argsort(-np.abs(vals), kind="stable")]
+    pat = np.ones(3, dtype=int)
+    for t in (0, 1):
+        if vals[perm[t]] < 0:
+            pat[[perm[t], perm[2]]] *= -1
+    rep = (pat * vals)[perm]
+    if rep[0] >= QUARTER - 1e-12 and rep[2] < 0:
+        pat[[perm[0], perm[2]]] *= -1
+        K[perm[0]] += pat[perm[0]]
+        rep = np.array([HALF - rep[0], rep[1], -rep[2]])
+    ops = (tuple(int(k) for k in K), tuple(int(s) for s in pat), tuple(perm))
+    return tuple(float(v) for v in rep), ops
 
 
 def _snap_to_chamber(cand) -> CanonicalCoords:
@@ -195,9 +192,11 @@ def _snap_to_chamber(cand) -> CanonicalCoords:
 def reduce_to_weyl(c) -> CanonicalCoords:
     """Fold an arbitrary coordinate triple into the chamber.
 
-    Brute-force over the finite candidate set; among the candidates that
-    land inside the chamber, ties (boundary identifications of one class)
-    are broken toward the lexicographically greatest triple.
+    One pass: shift each coordinate into (-pi/4, pi/4], order by
+    magnitude, make the two largest non-negative with an even sign flip.
+    Distinct chamber points name distinct classes except on the face
+    c1 = pi/4, where (pi/4, c2, c3) and (pi/4, c2, -c3) name one class;
+    the fold returns c3 >= 0 there.
     """
     cand, _ = _reduce_with_ops(_coords(c))
     return _snap_to_chamber(cand)
@@ -289,39 +288,24 @@ def extract_coordinates(g, tol: Tolerances = DEFAULT_TOLERANCES) -> CanonicalCoo
 
         c1 = (lam1+lam4)/2,  c2 = (lam2+lam4)/2,  c3 = (lam1+lam2)/2
 
-    is applied to every ordering, each result folded into the chamber,
-    and the representative whose closed-form invariants match the gate's
-    is returned.  Branch shifts need no extra enumeration: adding pi to
-    any lam moves two coordinates by pi/2, which the folding absorbs.
+    is applied to the phases in the order they come and the result is
+    folded into the chamber once.  Neither the ordering nor the branch
+    needs a search: permuting the phases acts on (c1, c2, c3) as a
+    permutation with an even sign flip, and adding pi to any lam moves
+    two coordinates by pi/2, both of which the fold absorbs.  On the
+    face c1 = pi/4 the fold returns c3 >= 0.  The result is
+    cross-checked against the gate's local invariants.
     """
     gate = su4_normalize(g, tol=tol)
     target = local_invariants(gate)
-    lam = -np.angle(np.linalg.eigvals(m_matrix(gate))) / 2.0
-
-    seen = set()
-    matches = []
-    for order in permutations(range(4)):
-        l1, l2, l3, l4 = lam[list(order)]
-        cand = np.array([(l1 + l4) / 2, (l2 + l4) / 2, (l1 + l2) / 2])
-        key = tuple(np.round(np.mod(cand, HALF) / 1e-9).astype(np.int64))
-        if key in seen:
-            continue
-        seen.add(key)
-        rep = reduce_to_weyl(cand)
-        got = invariants_from_coords(rep)
-        if abs(got.g1 - target.g1) <= 1e-7 and abs(got.g2 - target.g2) <= 1e-7:
-            matches.append(rep)
-    if not matches:
+    l1, l2, _, l4 = -np.angle(np.linalg.eigvals(m_matrix(gate))) / 2.0
+    rep = reduce_to_weyl(((l1 + l4) / 2, (l2 + l4) / 2, (l1 + l2) / 2))
+    got = invariants_from_coords(rep)
+    if abs(got.g1 - target.g1) > 1e-7 or abs(got.g2 - target.g2) > 1e-7:
         raise ConsistencyError(
-            "no candidate coordinate ordering reproduces the gate invariants"
+            f"coordinates {tuple(rep)} do not reproduce the gate invariants"
         )
-    first = matches[0]
-    spread = max(abs(x - y) for m in matches for x, y in zip(first, m))
-    if spread > 1e-7:
-        raise ConsistencyError(
-            f"coordinate candidates are ambiguous (spread {spread:.3e})"
-        )
-    return first
+    return rep
 
 
 def kak_decompose(g, tol: Tolerances = DEFAULT_TOLERANCES) -> KakFactors:
@@ -336,9 +320,7 @@ def kak_decompose(g, tol: Tolerances = DEFAULT_TOLERANCES) -> KakFactors:
     fix-ups; split both locals into SU(2) tensor factors.
     """
     gate = as_gate(g, tol=tol)
-    det = np.linalg.det(gate.matrix)
-    factor = (1.0 / det) ** 0.25
-    u = factor * gate.matrix
+    u = su4_normalize(gate, tol=tol).matrix
 
     q = MAGIC_FRAME
     ub = q.conj().T @ u @ q

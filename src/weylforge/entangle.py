@@ -149,6 +149,19 @@ def haar_product_states(seed: int, batch_index: int, count: int) -> np.ndarray:
     return np.stack([a0 * b0, a0 * b1, a1 * b0, a1 * b1], axis=1)
 
 
+def _image_concurrences(gate: np.ndarray, n: int, seed: int):
+    """Yield, batch by batch, the concurrences of gate|psi> over n Haar
+    product states psi drawn from the stream keyed by seed.
+
+    Batches hold 4096 states (the last one the remainder), batch j drawn
+    by haar_product_states(seed, j, count).
+    """
+    for j in range((n + _BATCH - 1) // _BATCH):
+        count = min(_BATCH, n - j * _BATCH)
+        images = haar_product_states(seed, j, count) @ gate.T
+        yield 2.0 * np.abs(images[:, 0] * images[:, 3] - images[:, 1] * images[:, 2])
+
+
 def entangling_power_mc(
     g, n: int, seed: int, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> EpEstimate:
@@ -164,17 +177,12 @@ def entangling_power_mc(
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
     gate = as_gate(g, tol=tol).matrix
-    batches = (n + _BATCH - 1) // _BATCH
-    sums = np.empty(batches)
-    squares = np.empty(batches)
-    for j in range(batches):
-        count = min(_BATCH, n - j * _BATCH)
-        states = haar_product_states(seed, j, count)
-        images = states @ gate.T
-        conc = 2.0 * np.abs(images[:, 0] * images[:, 3] - images[:, 1] * images[:, 2])
+    sums = []
+    squares = []
+    for conc in _image_concurrences(gate, n, seed):
         entropy = 0.5 * conc**2
-        sums[j] = entropy.sum()
-        squares[j] = (entropy * entropy).sum()
+        sums.append(entropy.sum())
+        squares.append((entropy * entropy).sum())
     total = float(np.sum(sums))
     total_sq = float(np.sum(squares))
     mean = total / n

@@ -30,7 +30,7 @@ from .canonical import (
     kak_decompose,
     reduce_to_weyl,
 )
-from .entangle import concurrence_pure, haar_product_states
+from .entangle import _image_concurrences, concurrence_pure
 
 __all__ = [
     "SpeParams",
@@ -182,13 +182,8 @@ def separability_preservation_probe(g, n: int, seed: int) -> float:
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
     gate = as_gate(g).matrix
-    batch = 4096
-    batches = (n + batch - 1) // batch
-    kept = 0
-    for j in range(batches):
-        count = min(batch, n - j * batch)
-        states = haar_product_states(seed, j, count)
-        images = states @ gate.T
-        conc = 2.0 * np.abs(images[:, 0] * images[:, 3] - images[:, 1] * images[:, 2])
-        kept += int(np.count_nonzero(conc <= 1e-7))
+    kept = sum(
+        int(np.count_nonzero(conc <= 1e-7))
+        for conc in _image_concurrences(gate, n, seed)
+    )
     return kept / n

@@ -52,7 +52,7 @@ from .canonical import (
     kak_decompose,
     reduce_to_weyl,
 )
-from .spe import SpeParams, spe_gate
+from .spe import _phi, spe_gate
 
 __all__ = [
     "UnsupportedPhiError",
@@ -199,14 +199,8 @@ _A_VARIANTS = (
 _B_VARIANTS = (("b0", lambda b0: b0), ("-b0", lambda b0: -b0))
 
 
-def _phi_value(p) -> float:
-    if isinstance(p, SpeParams):
-        return p.phi
-    return SpeParams(float(p)).phi
-
-
 def _admissible_phi(p) -> float:
-    phi = _phi_value(p)
+    phi = _phi(p)
     if phi <= 1e-12 or phi >= QUARTER - 1e-12:
         raise UnsupportedPhiError(
             f"phi = {phi!r} cannot drive synthesis; phi must lie strictly "
@@ -332,7 +326,7 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
             break
     if accepted is None:
         raise InfeasibleSynthesisError(
-            f"no solution at phi = {_phi_value(p)!r} reaches target class "
+            f"no solution at phi = {_phi(p)!r} reaches target class "
             f"{tuple(chamber)}",
             candidates,
         )
@@ -394,7 +388,7 @@ def special_circuit(kind: str, p) -> Circuit:
                    e^{-i pi/4 sigma_3} e^{-i b sigma_2} e^{-i pi/4 sigma_3}
                  ) . C[phi]   with cos 2b = -cot^2 2phi.
     """
-    phi = _phi_value(p)
+    phi = _phi(p)
     if kind == "cnot":
         if not 0.0 < phi < QUARTER:
             raise ValueError(

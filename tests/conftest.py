@@ -35,6 +35,22 @@ def chamber_point(rng) -> CanonicalCoords:
     return CanonicalCoords(c1, c2, c3)
 
 
+def mirror_face_targets(seed: int = 62, count: int = 60) -> list:
+    """Targets (pi/4, c2, c3) on the c1 = pi/4 face, c3 != 0 drawn on (-c2, c2).
+
+    On this face (pi/4, c2, c3) and (pi/4, c2, -c3) name one class, whose
+    chamber representative carries c3 >= 0.
+    """
+    rng = np.random.default_rng(seed)
+    targets = []
+    while len(targets) < count:
+        c2 = rng.uniform(0.0, np.pi / 4)
+        c3 = rng.uniform(-c2, c2)
+        if c3 != 0.0:
+            targets.append(CanonicalCoords(np.pi / 4, c2, c3))
+    return targets
+
+
 def dressed(coords, rng) -> np.ndarray:
     """A random member of the class of ``coords``, random global phase."""
     phase = np.exp(1j * rng.uniform(-np.pi, np.pi))

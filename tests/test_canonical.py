@@ -1,6 +1,9 @@
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 
+import weylforge.canonical as canonical
 from weylforge import (
     CanonicalCoords,
     ConsistencyError,
@@ -17,7 +20,7 @@ from weylforge.invariants import MAGIC_FRAME, invariants_from_coords
 from weylforge.linalg import PAULIS
 from weylforge.gates import NAMED_GATES
 
-from conftest import chamber_point, dressed, haar_su2
+from conftest import chamber_point, dressed, haar_su2, mirror_face_targets
 
 QUARTER = np.pi / 4
 
@@ -133,6 +136,90 @@ def test_reduce_known_foldings():
     # on the c1 = pi/4 wall the sign of c3 is not part of the class
     r = reduce_to_weyl((QUARTER, 0.3, -0.1))
     assert np.abs(np.subtract(r, (QUARTER, 0.3, 0.1))).max() < 1e-12
+
+
+# Reference fold: enumerate the 192 group elements that can reach the
+# chamber (per-coordinate shift into [0, pi/2) with an optional extra
+# -pi/2, four even sign patterns, six permutations) and keep the
+# lexicographically greatest candidate inside the chamber.
+
+_SIGN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+_BOUNDARY_VALUES = (
+    0.0, QUARTER, -QUARTER, np.pi / 2, -np.pi / 2, np.pi / 8, 3 * QUARTER, 0.3, -0.3
+)
+
+
+def _brute_force_reduce(c):
+    base = np.mod(np.asarray(c, dtype=float), np.pi / 2)
+    best = None
+    for shifts in product((0.0, np.pi / 2), repeat=3):
+        vals = base - np.array(shifts)
+        for pat in _SIGN_PATTERNS:
+            flipped = vals * np.array(pat)
+            for perm in permutations(range(3)):
+                cand = tuple(flipped[list(perm)])
+                if in_weyl_chamber(cand) and (best is None or cand > best):
+                    best = cand
+    return canonical._snap_to_chamber(best)
+
+
+def _fold_cases():
+    rng = np.random.default_rng(63)
+    cases = [rng.uniform(-2 * np.pi, 2 * np.pi, size=3) for _ in range(300)]
+    cases += [np.array(c) for c in product(_BOUNDARY_VALUES, repeat=3)]
+    return cases
+
+
+def test_reduce_matches_brute_force_reference():
+    for c in _fold_cases():
+        got = reduce_to_weyl(c)
+        want = _brute_force_reduce(c)
+        assert np.abs(np.subtract(got, want)).max() < 1e-12, (c, got, want)
+
+
+def test_chamber_locals_replay_the_fold():
+    for c in _fold_cases():
+        rep, ops = canonical._reduce_with_ops(c)
+        _, _, replayed = canonical._chamber_locals(c, *ops)
+        assert np.abs(replayed - np.asarray(rep)).max() < 1e-10, (c, ops)
+
+
+def test_extract_on_the_mirror_face():
+    for t in mirror_face_targets():
+        got = extract_coordinates(canonical_gate(t))
+        assert np.abs(np.subtract(got, (QUARTER, t.c2, abs(t.c3)))).max() < 1e-8, t
+
+
+def test_kak_on_the_mirror_face():
+    rng = np.random.default_rng(64)
+    for t in mirror_face_targets():
+        want = (QUARTER, t.c2, abs(t.c3))
+        for g in (canonical_gate(t).matrix, dressed(t, rng)):
+            f = kak_decompose(g)
+            assert np.abs(np.subtract(f.core, want)).max() < 1e-8, t
+            recon = (
+                np.exp(1j * f.global_phase)
+                * kron2(f.a1, f.b1)
+                @ canonical_gate(f.core).matrix
+                @ kron2(f.a2, f.b2)
+            )
+            assert np.abs(recon - g).max() < 1e-7
+
+
+def test_extract_folds_once(monkeypatch):
+    calls = []
+    fold = canonical.reduce_to_weyl
+
+    def counting(c):
+        calls.append(c)
+        return fold(c)
+
+    monkeypatch.setattr(canonical, "reduce_to_weyl", counting)
+    rng = np.random.default_rng(65)
+    for c in [chamber_point(rng) for _ in range(5)] + mirror_face_targets(count=5):
+        calls.clear()
+        extract_coordinates(dressed(c, rng))
+        assert len(calls) == 1
 
 
 def test_coords_equivalent():

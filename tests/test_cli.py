@@ -94,6 +94,19 @@ def test_synthesize_writes_verifiable_circuit(tmp_path, capsys):
     assert verify_equivalence(circ, (0.7, 0.3, 0.1))
 
 
+def test_synthesize_mirror_face_coords(capsys):
+    code, out, _ = run(
+        capsys,
+        "synthesize",
+        "--coords",
+        "0.7853981633974483,0.4,0.1",
+        "--phi",
+        "0.39269908169872414",
+    )
+    assert code == 0
+    assert "verification: PASS" in out
+
+
 def test_synthesize_matrix_gate_round_trip(capsys):
     code, out, _ = run(capsys, "synthesize", "dcnot", "--phi", "auto", "--json")
     assert code == 0

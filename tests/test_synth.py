@@ -27,7 +27,7 @@ from weylforge import (
 from weylforge.linalg import rot_x, rot_y
 from weylforge.gates import NAMED_GATES
 
-from conftest import chamber_point, dressed
+from conftest import chamber_point, dressed, mirror_face_targets
 
 QUARTER = np.pi / 4
 EIGHTH = np.pi / 8
@@ -94,6 +94,13 @@ def test_synthesize_random_chamber_targets():
         circ = synthesize(c, EIGHTH)
         assert circ.nonlocal_count() == 2
         assert verify_equivalence(circ, c)
+
+
+def test_synthesize_mirror_face_targets_at_the_b_gate():
+    for t in mirror_face_targets():
+        circ = synthesize(t, EIGHTH)
+        assert circ.nonlocal_count() == 2
+        assert verify_equivalence(circ, t)
 
 
 def test_synthesize_accepts_params_object_and_identity_target():
