@@ -39,7 +39,7 @@ from .linalg import (
     split_local,
     su4_normalize,
 )
-from .invariants import MAGIC_FRAME, invariants_from_coords, local_invariants, m_matrix
+from .invariants import MAGIC_FRAME, _gram_invariants, invariants_from_coords, m_matrix
 
 __all__ = [
     "CanonicalCoords",
@@ -294,11 +294,13 @@ def extract_coordinates(g, tol: Tolerances = DEFAULT_TOLERANCES) -> CanonicalCoo
     permutation with an even sign flip, and adding pi to any lam moves
     two coordinates by pi/2, both of which the fold absorbs.  On the
     face c1 = pi/4 the fold returns c3 >= 0.  The result is
-    cross-checked against the gate's local invariants.
+    cross-checked against the gate's local invariants, read off the same
+    Gram matrix (det = 1 after normalization).
     """
     gate = su4_normalize(g, tol=tol)
-    target = local_invariants(gate)
-    l1, l2, _, l4 = -np.angle(np.linalg.eigvals(m_matrix(gate))) / 2.0
+    m = m_matrix(gate)
+    target = _gram_invariants(m, 1.0, tol)
+    l1, l2, _, l4 = -np.angle(np.linalg.eigvals(m)) / 2.0
     rep = reduce_to_weyl(((l1 + l4) / 2, (l2 + l4) / 2, (l1 + l2) / 2))
     got = invariants_from_coords(rep)
     if abs(got.g1 - target.g1) > 1e-7 or abs(got.g2 - target.g2) > 1e-7:

@@ -65,8 +65,11 @@ def local_invariants(g, tol: Tolerances = DEFAULT_TOLERANCES) -> LocalInvariants
     checked against ``tol.comparison`` and dropped.
     """
     gate = as_gate(g, tol=tol)
-    m = m_matrix(gate)
-    det = np.linalg.det(gate.matrix)
+    return _gram_invariants(m_matrix(gate), np.linalg.det(gate.matrix), tol)
+
+
+def _gram_invariants(m, det, tol: Tolerances = DEFAULT_TOLERANCES) -> LocalInvariants:
+    """(g1, g2) from a Gram matrix m and the determinant of its gate."""
     tr = np.trace(m)
     tr2 = np.trace(m @ m)
     g1 = tr**2 / (16.0 * det)

@@ -21,7 +21,11 @@ of v^2 - 2(1 - AB)v + (1 - A^2)(1 - B^2) = 0, with
 A branch is feasible when cos 2b lands in [-1, 1] and cos^2 2a in
 [0, 1]; not every phi admits a feasible branch for every target, but
 phi = pi/8 (the B gate) always does.  phi = 0 and phi = pi/4 are never
-admissible for generic targets.
+admissible for generic targets.  These conditions decide feasibility in
+closed form: feasible_phi_profile evaluates them over a phi grid
+without synthesizing, and infeasibility_reasons (and the message of
+InfeasibleSynthesisError) names the condition each branch violates and
+by how much.
 
 Inverse cosines fix a and b only up to quadrant, so each feasible branch
 expands into the sign variants a in {a0, -a0, pi/2-a0, a0-pi/2} and
@@ -69,6 +73,7 @@ __all__ = [
     "circuit_matrix",
     "verify_equivalence",
     "feasible_phi_profile",
+    "infeasibility_reasons",
     "circuit_to_dict",
     "circuit_from_dict",
 ]
@@ -85,6 +90,7 @@ class DegenerateTargetError(ValueError):
 class InfeasibleSynthesisError(RuntimeError):
     """No candidate solution verified; carries the scanned candidates.
 
+    The message names the violated condition of each infeasible branch.
     This is a property of the (target, phi) pair, not a malformed input:
     the caller should retry with another phi (pi/8 always works).
     """
@@ -210,33 +216,68 @@ def _admissible_phi(p) -> float:
 
 
 def _branch_roots(phi: float, c2: float, c3: float):
-    """Feasible (branch, a0, b0) triples for the two solution branches."""
+    """Feasible (branch, a0, b0) triples, and why each other branch fails.
+
+    Returns (roots, failures): roots holds one triple per feasible
+    branch, failures one line per infeasible branch naming the violated
+    condition and its value, e.g. "sols1: cos 2b = -1.37 outside
+    [-1, 1] by 0.37".  phi is feasible for the target exactly when
+    roots is non-empty.
+    """
     k = np.cos(4 * phi)
     A = np.cos(2 * c2)
     B = np.cos(2 * c3)
     tan_sq = np.tan(2 * phi) ** 2
-    out = []
+    roots = []
+    failures = []
     for branch, v, opposite in (
         ("sols1", (1 + A) * (1 - B), (1 - A) * (1 + B)),
         ("sols2", (1 - A) * (1 + B), (1 + A) * (1 - B)),
     ):
         cos2b = 1.0 - v / (1.0 - k)
         if not -1.0 - 1e-9 <= cos2b <= 1.0 + 1e-9:
+            failures.append(
+                f"{branch}: cos 2b = {cos2b:.6g} outside [-1, 1] "
+                f"by {abs(cos2b) - 1.0:.3g}"
+            )
             continue
         b0 = 0.5 * np.arccos(np.clip(cos2b, -1.0, 1.0))
         den = 2.0 * (1.0 - k) - v
         if den <= 1e-12:
             # cos 2b = -1 makes the a-rotations cancel; feasible only
             # when the opposite root contributes nothing
-            if opposite * tan_sq <= 1e-9:
-                out.append((branch, 0.0, float(b0)))
+            leak = opposite * tan_sq
+            if leak <= 1e-9:
+                roots.append((branch, 0.0, float(b0)))
+            else:
+                failures.append(
+                    f"{branch}: cos 2b = -1 needs (opposite root) "
+                    f"tan^2 2phi = 0, got {leak:.3g}"
+                )
             continue
         cos2a_sq = opposite * tan_sq / den
         if not -1e-9 <= cos2a_sq <= 1.0 + 1e-9:
+            bound = "> 1" if cos2a_sq > 1.0 else "< 0"
+            failures.append(
+                f"{branch}: cos^2 2a = {cos2a_sq:.6g} {bound} "
+                f"by {max(cos2a_sq - 1.0, -cos2a_sq):.3g}"
+            )
             continue
         a0 = 0.5 * np.arccos(np.sqrt(np.clip(cos2a_sq, 0.0, 1.0)))
-        out.append((branch, float(a0), float(b0)))
-    return out
+        roots.append((branch, float(a0), float(b0)))
+    return roots, failures
+
+
+def infeasibility_reasons(target, p) -> list:
+    """Why C[phi] misses the class of target: one line per failing branch.
+
+    Empty when both branches are feasible; two lines mean phi cannot
+    reach the target.  Each line names the violated condition of the
+    closed-form solution and its value (see the module docstring).
+    """
+    phi = _admissible_phi(p)
+    c = reduce_to_weyl(CanonicalCoords(*(float(v) for v in target)))
+    return _branch_roots(phi, c.c2, c.c3)[1]
 
 
 def spe_params(p, target) -> list:
@@ -249,7 +290,7 @@ def spe_params(p, target) -> list:
     phi = _admissible_phi(p)
     c = reduce_to_weyl(target)
     solutions = []
-    for branch, a0, b0 in _branch_roots(phi, c.c2, c.c3):
+    for branch, a0, b0 in _branch_roots(phi, c.c2, c.c3)[0]:
         for a_name, a_fn in _A_VARIANTS:
             for b_name, b_fn in _B_VARIANTS:
                 solutions.append(
@@ -325,9 +366,12 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
             accepted = (sol, core)
             break
     if accepted is None:
+        reasons = infeasibility_reasons(chamber, p)
+        if candidates:
+            reasons.append(f"none of {len(candidates)} candidates verified")
         raise InfeasibleSynthesisError(
             f"no solution at phi = {_phi(p)!r} reaches target class "
-            f"{tuple(chamber)}",
+            f"{tuple(chamber)}: " + "; ".join(reasons),
             candidates,
         )
     sol, core = accepted
@@ -414,6 +458,10 @@ def feasible_phi_profile(target, grid_size: int) -> list:
 
     Returns [(phi, feasible), ...] for grid_size interior points; grid
     endpoints 0 and pi/4 are excluded since they are never admissible.
+    Feasibility is decided in closed form, without synthesizing: phi is
+    feasible when some solution branch has a root (cos 2b in [-1, 1],
+    cos^2 2a in [0, 1]).  infeasibility_reasons says which condition
+    fails.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
@@ -421,12 +469,8 @@ def feasible_phi_profile(target, grid_size: int) -> list:
     profile = []
     for k in range(grid_size):
         phi = (k + 1) * QUARTER / (grid_size + 1)
-        try:
-            synthesize(chamber, phi)
-        except InfeasibleSynthesisError:
-            profile.append((phi, False))
-        else:
-            profile.append((phi, True))
+        roots, _ = _branch_roots(phi, chamber.c2, chamber.c3)
+        profile.append((phi, bool(roots)))
     return profile
 
 

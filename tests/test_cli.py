@@ -130,6 +130,46 @@ def test_synthesize_infeasible_phi_exits_one(capsys):
     assert "feasibility profile" in err
 
 
+def test_synthesize_infeasible_phi_names_the_violated_condition(capsys):
+    code, _, err = run(capsys, "synthesize", "swap", "--phi", "0.05")
+    assert code == 1
+    rows = [line for line in err.splitlines() if line.startswith("  phi=")]
+    assert len(rows) == 31
+    infeasible = [row for row in rows if "infeasible" in row]
+    assert len(infeasible) == 30
+    for row in infeasible:
+        assert "sols1: cos" in row and "sols2: cos" in row
+    assert re.search(r"sols1: cos 2b = -\S+ outside \[-1, 1\] by ", err)
+    assert re.search(r"sols2: cos\^2 2a = \S+ > 1 by ", err)
+
+
+def test_synthesize_auto_synthesizes_once(capsys, monkeypatch):
+    import weylforge.cli as cli
+    import weylforge.synth as synth
+
+    calls = {"synthesize": 0, "verify_equivalence": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    once = counting("synthesize", synth.synthesize)
+    monkeypatch.setattr(cli, "synthesize", once)
+    monkeypatch.setattr(synth, "synthesize", once)
+    monkeypatch.setattr(
+        synth, "verify_equivalence", counting("verify_equivalence", synth.verify_equivalence)
+    )
+    code, out, _ = run(
+        capsys, "synthesize", "--coords", "0.7,0.3,0.1", "--phi", "auto", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["verified"] is True
+    assert calls == {"synthesize": 1, "verify_equivalence": 1}
+
+
 def test_synthesize_rejects_phi_endpoint(capsys):
     code, _, err = run(capsys, "synthesize", "swap", "--phi", "0")
     assert code == 2

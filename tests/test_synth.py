@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylforge import (
     Circuit,
@@ -17,6 +18,7 @@ from weylforge import (
     circuit_to_dict,
     extract_coordinates,
     feasible_phi_profile,
+    infeasibility_reasons,
     kron2,
     reduce_to_weyl,
     spe_params,
@@ -153,6 +155,116 @@ def test_feasible_phi_profile_for_swap_and_cnot():
     assert abs(feasible[0] - EIGHTH) < 1e-15
     profile = feasible_phi_profile((QUARTER, 0.0, 0.0), 31)
     assert all(ok for _, ok in profile)
+
+
+def _scanned_phi_profile(target, grid_size):
+    """Reference: the profile by synthesizing at every grid phi."""
+    profile = []
+    for k in range(grid_size):
+        phi = (k + 1) * QUARTER / (grid_size + 1)
+        try:
+            synthesize(target, phi)
+        except InfeasibleSynthesisError:
+            profile.append((phi, False))
+        else:
+            profile.append((phi, True))
+    return profile
+
+
+def _boundary_classes(rng, per_kind):
+    """Seeded points of every chamber face and edge, plus its corners.
+
+    Faces c1 = pi/4, c1 = c2, c2 = |c3| (both signs) and the plane
+    c3 = 0; edges O-A1 (c2 = c3 = 0), O-A3 (c1 = c2 = |c3|), A1-A3
+    (c1 = pi/4, c2 = |c3|), A3-A3' (c1 = c2 = pi/4) and the SPE segment
+    (pi/4, phi, 0); corners SWAP, identity, CNOT, DCNOT.
+    """
+    points = [
+        (QUARTER, QUARTER, QUARTER),
+        (0.0, 0.0, 0.0),
+        (QUARTER, 0.0, 0.0),
+        (QUARTER, QUARTER, 0.0),
+    ]
+    for _ in range(per_kind):
+        c1 = rng.uniform(0.0, QUARTER)
+        c2 = rng.uniform(0.0, c1)
+        t = rng.uniform(0.0, QUARTER)
+        u = rng.uniform(-t, t)
+        points += [
+            (QUARTER, t, u),
+            (c1, c1, rng.uniform(-c1, c1)),
+            (c1, c2, c2),
+            (c1, c2, -c2),
+            (c1, c2, 0.0),
+            (c1, 0.0, 0.0),
+            (c1, c1, c1),
+            (c1, c1, -c1),
+            (QUARTER, t, t),
+            (QUARTER, t, -t),
+            (QUARTER, QUARTER, u),
+            (QUARTER, t, 0.0),
+        ]
+    return points
+
+
+def test_feasible_phi_profile_matches_the_synthesis_scan_on_random_classes():
+    rng = np.random.default_rng(96)
+    for _ in range(30):
+        c = chamber_point(rng)
+        assert feasible_phi_profile(c, 31) == _scanned_phi_profile(c, 31)
+
+
+def test_feasible_phi_profile_matches_the_synthesis_scan_on_faces_and_edges():
+    rng = np.random.default_rng(97)
+    for c in _boundary_classes(rng, 4):
+        assert feasible_phi_profile(c, 31) == _scanned_phi_profile(c, 31), c
+
+
+_FACES = (
+    lambda c1, c2, c3: (c1, c2, c3),
+    lambda c1, c2, c3: (QUARTER, c2, c3),
+    lambda c1, c2, c3: (c1, c1, c3),
+    lambda c1, c2, c3: (c1, c2, c2),
+    lambda c1, c2, c3: (c1, c2, -c2),
+    lambda c1, c2, c3: (c1, c2, 0.0),
+    lambda c1, c2, c3: (QUARTER, c2, 0.0),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.sampled_from(_FACES),
+)
+def test_feasible_phi_profile_matches_the_synthesis_scan_property(u, v, w, face):
+    c1 = u * QUARTER
+    c2 = v * c1
+    c = face(c1, c2, w * c2)
+    assert feasible_phi_profile(c, 31) == _scanned_phi_profile(c, 31)
+
+
+def test_infeasibility_reasons_name_each_failing_branch():
+    swap = (QUARTER, QUARTER, QUARTER)
+    assert infeasibility_reasons(swap, EIGHTH) == []
+    low = infeasibility_reasons(swap, 0.05)
+    assert [r.split(":")[0] for r in low] == ["sols1", "sols2"]
+    assert all("cos 2b = " in r and "outside [-1, 1] by" in r for r in low)
+    high = infeasibility_reasons(swap, 0.3)
+    assert [r.split(":")[0] for r in high] == ["sols1", "sols2"]
+    assert all("cos^2 2a = " in r and "> 1 by" in r for r in high)
+    rng = np.random.default_rng(98)
+    for _ in range(10):
+        assert infeasibility_reasons(chamber_point(rng), EIGHTH) == []
+
+
+def test_infeasible_synthesis_error_names_the_violated_conditions():
+    with pytest.raises(InfeasibleSynthesisError) as exc:
+        synthesize((QUARTER, QUARTER, QUARTER), 0.3)
+    message = str(exc.value)
+    for reason in infeasibility_reasons((QUARTER, QUARTER, QUARTER), 0.3):
+        assert reason in message
 
 
 def test_feasible_phi_profile_validates_grid():
