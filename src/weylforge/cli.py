@@ -15,7 +15,8 @@ sqrtswap, b, identity) or a path to a JSON file of the form
 with a row-major 4x4 matrix over |00>, |01>, |10>, |11>; qubit 0 is the
 first tensor factor.  Exit codes: 0 success, 1 infeasible synthesis,
 2 invalid input.  The environment variable WEYLFORGE_SEED supplies the
-default Monte Carlo seed; --seed overrides it.
+default Monte Carlo seed; --seed overrides it.  Either way the seed must
+be an integer in [0, 2**63); analyze --mc-samples exits 2 on any other.
 """
 
 import argparse
@@ -72,9 +73,8 @@ def _default_seed() -> int:
         raise _CliError(2, f"WEYLFORGE_SEED must be an integer, got {raw!r}")
 
 
-def _load_gate(spec: str, tolerance: float):
+def _load_gate(spec: str, tol: Tolerances):
     """Resolve a named gate or a gate file into (name, GateMatrix)."""
-    tol = Tolerances(unitarity=tolerance)
     if spec in NAMED_GATES:
         return spec, GateMatrix(NAMED_GATES[spec], tol=tol)
     if not os.path.exists(spec):
@@ -106,9 +106,11 @@ def _parse_coords(text: str) -> CanonicalCoords:
 # ---------------------------------------------------------------- analyze
 
 
-def _analysis_report(gate, name, args) -> dict:
-    coords = extract_coordinates(gate)
-    inv = local_invariants(gate)
+def _analysis_report(gate, name, args, tol: Tolerances) -> dict:
+    """The analyze report; every step runs at the tolerances the gate
+    was loaded with."""
+    coords = extract_coordinates(gate, tol=tol)
+    inv = local_invariants(gate, tol=tol)
     ep = entangling_power_closed(coords)
     spe = is_spe(coords)
     report = {
@@ -117,14 +119,12 @@ def _analysis_report(gate, name, args) -> dict:
         "g1": [inv.g1.real + 0.0, inv.g1.imag + 0.0],
         "g2": inv.g2 + 0.0,
         "entangling_power": float(ep),
-        "perfect_entangler": bool(is_perfect_entangler(gate)),
+        "perfect_entangler": bool(is_perfect_entangler(gate, tol=tol)),
         "spe": bool(spe),
         "spe_phi": float(coords.c2) if spe else None,
     }
     if args.mc_samples is not None:
-        if args.mc_samples < 1:
-            raise _CliError(2, "--mc-samples must be positive")
-        est = entangling_power_mc(gate, args.mc_samples, args.seed)
+        est = entangling_power_mc(gate, args.mc_samples, args.seed, tol=tol)
         report["mc"] = {
             "mean": est.mean,
             "std_error": est.std_error,
@@ -135,8 +135,11 @@ def _analysis_report(gate, name, args) -> dict:
 
 
 def _cmd_analyze(args) -> int:
-    name, gate = _load_gate(args.gate, args.tolerance)
-    report = _analysis_report(gate, name, args)
+    if args.mc_samples is not None and args.mc_samples < 1:
+        raise _CliError(2, "--mc-samples must be positive")
+    tol = Tolerances(unitarity=args.tolerance)
+    name, gate = _load_gate(args.gate, tol)
+    report = _analysis_report(gate, name, args, tol)
     if args.json:
         json.dump(report, sys.stdout, indent=2)
         print()
@@ -187,7 +190,7 @@ def _cmd_synthesize(args) -> int:
     if (args.gate is None) == (args.coords is None):
         raise _CliError(2, "give exactly one target: a gate file/name or --coords")
     if args.gate is not None:
-        _, gate = _load_gate(args.gate, args.tolerance)
+        _, gate = _load_gate(args.gate, Tolerances(unitarity=args.tolerance))
         target = gate
         chamber = extract_coordinates(gate)
     else:

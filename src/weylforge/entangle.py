@@ -16,8 +16,17 @@ in canonical coordinates, and a Monte Carlo estimator whose sample
 stream is counter-based: batch j of a run with seed s draws from an
 independent generator keyed (s, j), so any partition of the batch range
 over parallel workers reproduces the single-worker result bit for bit.
+Seeds and batch indices are integers in [0, 2**63); anything else is a
+ValueError, since Philox would alias or reject it.
+
+The sampling formula is part of that stream contract, down to its
+rounding steps: each qubit's phase factor exp(i ph/2) is computed once,
+and its conjugate, bit-identical to exp(-i ph/2), serves the |1>
+amplitude.  tests/test_entangle.py pins the stream to the reference
+formula with four exponentials.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +60,8 @@ MAGIC_STATES = np.array(
 MAGIC_STATES.setflags(write=False)
 
 _BATCH = 4096
+# Philox key words are read as int64 first: 2**63 and -2**63 alias
+_KEY_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -130,23 +141,58 @@ def entangling_power_closed(c) -> float:
     return float((3.0 - (f1 * f2 + f2 * f3 + f3 * f1)) / 18.0)
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _key_word(name: str, value) -> int:
+    """value as one word of a Philox key: an integer in [0, 2**63)."""
+    k = _integer(name, value)
+    if not 0 <= k < _KEY_LIMIT:
+        raise ValueError(f"{name} must be an integer in [0, 2**63), got {value!r}")
+    return k
+
+
 def haar_product_states(seed: int, batch_index: int, count: int) -> np.ndarray:
     """One batch of Haar-random two-qubit product states, shape (count, 4).
 
     Each qubit is drawn by inverse CDF on the Bloch sphere (cos theta
-    uniform on [-1, 1], azimuth uniform).  The generator is keyed by
-    (seed, batch_index), making batches mutually independent and the
-    whole stream reproducible under any work partition.
+    uniform on [-1, 1], azimuth ph uniform).  The generator is keyed by
+    (seed, batch_index), both integers in [0, 2**63), making batches
+    mutually independent and the whole stream reproducible under any
+    work partition.  Each qubit's phase factor e = exp(i ph/2) is
+    computed once; e.conj() is bit-identical to exp(-i ph/2) and serves
+    the |1> amplitude.  This formula is part of the stream contract.
     """
-    gen = np.random.Generator(np.random.Philox(key=[seed, batch_index]))
+    key = [_key_word("seed", seed), _key_word("batch_index", batch_index)]
+    gen = np.random.Generator(np.random.Philox(key=key))
     u = gen.random((count, 4))
     ct1, ph1 = 2.0 * u[:, 0] - 1.0, 2.0 * np.pi * u[:, 1]
     ct2, ph2 = 2.0 * u[:, 2] - 1.0, 2.0 * np.pi * u[:, 3]
-    a0 = np.sqrt((1.0 + ct1) / 2.0) * np.exp(0.5j * ph1)
-    a1 = np.sqrt((1.0 - ct1) / 2.0) * np.exp(-0.5j * ph1)
-    b0 = np.sqrt((1.0 + ct2) / 2.0) * np.exp(0.5j * ph2)
-    b1 = np.sqrt((1.0 - ct2) / 2.0) * np.exp(-0.5j * ph2)
-    return np.stack([a0 * b0, a0 * b1, a1 * b0, a1 * b1], axis=1)
+    e1 = np.exp(0.5j * ph1)
+    e2 = np.exp(0.5j * ph2)
+    a0 = np.sqrt((1.0 + ct1) / 2.0) * e1
+    a1 = np.sqrt((1.0 - ct1) / 2.0) * e1.conj()
+    b0 = np.sqrt((1.0 + ct2) / 2.0) * e2
+    b1 = np.sqrt((1.0 - ct2) / 2.0) * e2.conj()
+    states = np.empty((count, 4), dtype=complex)
+    np.multiply(a0, b0, out=states[:, 0])
+    np.multiply(a0, b1, out=states[:, 1])
+    np.multiply(a1, b0, out=states[:, 2])
+    np.multiply(a1, b1, out=states[:, 3])
+    return states
+
+
+def _sample_run(n, seed) -> tuple:
+    """(n, seed) of a sampling run as plain ints, or ValueError: n a
+    positive integer, seed an integer in [0, 2**63)."""
+    n = _integer("sample count", n)
+    if n < 1:
+        raise ValueError(f"sample count must be positive, got {n}")
+    return n, _key_word("seed", seed)
 
 
 def _image_concurrences(gate: np.ndarray, n: int, seed: int):
@@ -174,8 +220,7 @@ def entangling_power_mc(
     result is bitwise independent of how batches are grouped into
     workers.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be positive, got {n}")
+    n, seed = _sample_run(n, seed)
     gate = as_gate(g, tol=tol).matrix
     sums = []
     squares = []

@@ -30,7 +30,7 @@ from .canonical import (
     kak_decompose,
     reduce_to_weyl,
 )
-from .entangle import _image_concurrences, concurrence_pure
+from .entangle import _image_concurrences, _sample_run, concurrence_pure
 
 __all__ = [
     "SpeParams",
@@ -179,8 +179,7 @@ def separability_preservation_probe(g, n: int, seed: int) -> float:
     any other gate the preserved set has measure zero and the returned
     fraction collapses.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be positive, got {n}")
+    n, seed = _sample_run(n, seed)
     gate = as_gate(g).matrix
     kept = sum(
         int(np.count_nonzero(conc <= 1e-7))

@@ -75,6 +75,48 @@ def test_mc_seed_env_default(capsys, monkeypatch):
     assert json.loads(out_env)["mc"] == json.loads(out_flag)["mc"]
 
 
+def _noisy_cnot_file(tmp_path):
+    # CNOT plus 1e-8 complex Gaussian noise: unitarity residual about 4e-8
+    rng = np.random.default_rng(3)
+    noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    matrix = np.asarray(NAMED_GATES["cnot"]) + 1e-8 * noise
+    path = tmp_path / "noisy.json"
+    path.write_text(json.dumps({"name": "noisy", "matrix": _mat_to_lists(matrix)}))
+    return str(path)
+
+
+def test_analyze_honours_the_loaded_tolerance(tmp_path, capsys):
+    path = _noisy_cnot_file(tmp_path)
+    for extra in ([], ["--mc-samples", "1000"]):
+        code, out, err = run(capsys, "analyze", path, "--json", "--tolerance", "1e-6", *extra)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["perfect_entangler"] is True
+        assert abs(report["entangling_power"] - 2 / 9) < 1e-9
+        assert ("mc" in report) == bool(extra)
+        code, _, err = run(capsys, "analyze", path, *extra)
+        assert code == 2
+        assert "not unitary" in err
+
+
+def test_analyze_checks_mc_samples_before_loading(capsys):
+    code, _, err = run(capsys, "analyze", "/no/such/file.json", "--mc-samples", "0")
+    assert code == 2
+    assert "--mc-samples must be positive" in err
+
+
+def test_analyze_rejects_seeds_outside_the_key_range(capsys, monkeypatch):
+    for seed in ("18446744073709551616", "9223372036854775808", "-1"):
+        code, out, err = run(capsys, "analyze", "cnot", "--mc-samples", "100", "--seed", seed)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: seed must be an integer in [0, 2**63), got {seed}\n"
+    monkeypatch.setenv("WEYLFORGE_SEED", str(-(2**63)))
+    code, _, err = run(capsys, "analyze", "cnot", "--mc-samples", "100")
+    assert code == 2
+    assert "[0, 2**63)" in err and "Traceback" not in err
+
+
 def test_synthesize_writes_verifiable_circuit(tmp_path, capsys):
     out_path = tmp_path / "circ.json"
     code, out, _ = run(

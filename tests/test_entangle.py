@@ -14,12 +14,28 @@ from weylforge import (
     linear_entropy,
     magic_coefficients,
 )
+import weylforge.entangle as entangle
 from weylforge.entangle import MAGIC_STATES, _BATCH
 from weylforge.gates import CNOT, NAMED_GATES, SWAP
 
 from conftest import chamber_point, dressed, haar_state
 
 TWO_NINTHS = 2.0 / 9.0
+
+
+def _four_exponential_states(seed, batch_index, count):
+    """Reference sampler: the earlier formula with four complex
+    exponentials and a stack of four temporaries.  The stream contract
+    says the sampler must reproduce it bit for bit."""
+    gen = np.random.Generator(np.random.Philox(key=[seed, batch_index]))
+    u = gen.random((count, 4))
+    ct1, ph1 = 2.0 * u[:, 0] - 1.0, 2.0 * np.pi * u[:, 1]
+    ct2, ph2 = 2.0 * u[:, 2] - 1.0, 2.0 * np.pi * u[:, 3]
+    a0 = np.sqrt((1.0 + ct1) / 2.0) * np.exp(0.5j * ph1)
+    a1 = np.sqrt((1.0 - ct1) / 2.0) * np.exp(-0.5j * ph1)
+    b0 = np.sqrt((1.0 + ct2) / 2.0) * np.exp(0.5j * ph2)
+    b1 = np.sqrt((1.0 - ct2) / 2.0) * np.exp(-0.5j * ph2)
+    return np.stack([a0 * b0, a0 * b1, a1 * b0, a1 * b1], axis=1)
 
 
 def test_concurrence_known_states():
@@ -178,6 +194,57 @@ def test_mc_estimate_is_reproducible_and_batch_decomposable():
         conc = 2 * np.abs(out[:, 0] * out[:, 3] - out[:, 1] * out[:, 2])
         total += (conc**2 / 2).sum()
     assert est1.mean == total / n
+
+
+def test_sampler_reproduces_the_four_exponential_formula():
+    for seed in (0, 1, 77, 2**31 - 1, 2**63 - 1):
+        for batch_index in (0, 1, 31, 1000):
+            for count in (1, 3, 1357, _BATCH):
+                want = _four_exponential_states(seed, batch_index, count)
+                got = haar_product_states(seed, batch_index, count)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want), (seed, batch_index, count)
+
+
+@pytest.mark.parametrize("name", ["cnot", "b", "sqrtswap"])
+def test_mc_estimates_match_the_four_exponential_stream(name, monkeypatch):
+    g = GateMatrix(NAMED_GATES[name])
+    runs = [(1, 3), (_BATCH + 1357, 77), (131072, 7)]
+    new = [entangling_power_mc(g, n, seed) for n, seed in runs]
+    monkeypatch.setattr(entangle, "haar_product_states", _four_exponential_states)
+    old = [entangling_power_mc(g, n, seed) for n, seed in runs]
+    for a, b in zip(new, old):
+        assert (a.mean.hex(), a.std_error.hex()) == (b.mean.hex(), b.std_error.hex())
+
+
+@pytest.mark.parametrize(
+    "seed", [-1, 2**63, -(2**63), 2**64 - 1, 2**64, 7.0, "7", None]
+)
+def test_sampling_rejects_seeds_outside_the_key_range(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        entangling_power_mc(GateMatrix(CNOT), 100, seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        haar_product_states(seed, 0, 10)
+
+
+@pytest.mark.parametrize("batch_index", [-1, 2**63, 2**64 - 1, 1.0])
+def test_sampler_rejects_batch_indices_outside_the_key_range(batch_index):
+    with pytest.raises(ValueError, match="batch_index"):
+        haar_product_states(7, batch_index, 10)
+
+
+def test_sampling_accepts_the_ends_of_the_key_range_and_numpy_integers():
+    g = GateMatrix(CNOT)
+    top = entangling_power_mc(g, 10, 2**63 - 1)
+    assert top.seed == 2**63 - 1
+    assert entangling_power_mc(g, 10, np.uint64(7)) == entangling_power_mc(g, 10, 7)
+    assert haar_product_states(0, 2**63 - 1, 2).shape == (2, 4)
+
+
+@pytest.mark.parametrize("n", [100.0, 1.5, "100", None])
+def test_mc_estimate_rejects_non_integer_sample_counts(n):
+    with pytest.raises(ValueError, match="sample count"):
+        entangling_power_mc(GateMatrix(CNOT), n, 5)
 
 
 def test_mc_estimate_single_sample_has_zero_error():
