@@ -30,6 +30,7 @@ from .linalg import (
     ConsistencyError,
     GateMatrix,
     Tolerances,
+    _trusted_gate,
     as_gate,
     eig_commuting_symmetric_pair,
     kron2,
@@ -92,7 +93,10 @@ class KakFactors:
 
 
 def _coords(c) -> CanonicalCoords:
+    """c as a CanonicalCoords of floats; ValueError unless all are finite."""
     c1, c2, c3 = (float(v) for v in c)
+    if not np.isfinite((c1, c2, c3)).all():
+        raise ValueError(f"coordinates must be finite, got {(c1, c2, c3)}")
     return CanonicalCoords(c1, c2, c3)
 
 
@@ -106,13 +110,14 @@ def canonical_gate(c) -> GateMatrix:
         [      .       -i e^{ic3} s+   e^{ic3} c+       .      ]
         [ -i e^{-ic3} s-     .           .        e^{-ic3} c-  ]
 
-    with c± = cos(c1 ± c2), s± = sin(c1 ± c2).
+    with c± = cos(c1 ± c2), s± = sin(c1 ± c2).  Unitary by construction,
+    so not checked again; non-finite c raise ValueError.
     """
     c1, c2, c3 = _coords(c)
     cm, cp = np.cos(c1 - c2), np.cos(c1 + c2)
     sm, sp = np.sin(c1 - c2), np.sin(c1 + c2)
     em, ep = np.exp(-1j * c3), np.exp(1j * c3)
-    return GateMatrix(
+    m = np.array(
         [
             [em * cm, 0, 0, -1j * em * sm],
             [0, ep * cp, -1j * ep * sp, 0],
@@ -120,6 +125,7 @@ def canonical_gate(c) -> GateMatrix:
             [-1j * em * sm, 0, 0, em * cm],
         ]
     )
+    return _trusted_gate(m, 0.0)
 
 
 def spectral_phases(c) -> SpectralPhases:

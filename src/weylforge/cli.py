@@ -15,8 +15,8 @@ sqrtswap, b, identity) or a path to a JSON file of the form
 with a row-major 4x4 matrix over |00>, |01>, |10>, |11>; qubit 0 is the
 first tensor factor.  Exit codes: 0 success, 1 infeasible synthesis,
 2 invalid input.  The environment variable WEYLFORGE_SEED supplies the
-default Monte Carlo seed; --seed overrides it.  Either way the seed must
-be an integer in [0, 2**63); analyze --mc-samples exits 2 on any other.
+default Monte Carlo seed; --seed overrides it.  Only analyze
+--mc-samples reads the seed, and exits 2 unless it is in [0, 2**63).
 """
 
 import argparse
@@ -63,10 +63,11 @@ def _fmt(x: float) -> str:
     return "%.12g" % (float(x) + 0.0)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("WEYLFORGE_SEED")
-    if raw is None:
-        return 0
+def _mc_seed(seed):
+    """--seed, else WEYLFORGE_SEED, else 0; the sampler checks its range."""
+    if seed is not None:
+        return seed
+    raw = os.environ.get("WEYLFORGE_SEED", "0")
     try:
         return int(raw)
     except ValueError:
@@ -115,6 +116,8 @@ def _analysis_report(gate, name, args, tol: Tolerances) -> dict:
     spe = is_spe(coords)
     report = {
         "name": name,
+        "unitarity_residual": gate.unitarity_residual,
+        "unitarity_tolerance": tol.unitarity,
         "coords": [float(v) + 0.0 for v in coords],
         "g1": [inv.g1.real + 0.0, inv.g1.imag + 0.0],
         "g2": inv.g2 + 0.0,
@@ -124,7 +127,7 @@ def _analysis_report(gate, name, args, tol: Tolerances) -> dict:
         "spe_phi": float(coords.c2) if spe else None,
     }
     if args.mc_samples is not None:
-        est = entangling_power_mc(gate, args.mc_samples, args.seed, tol=tol)
+        est = entangling_power_mc(gate, args.mc_samples, _mc_seed(args.seed), tol=tol)
         report["mc"] = {
             "mean": est.mean,
             "std_error": est.std_error,
@@ -146,6 +149,10 @@ def _cmd_analyze(args) -> int:
         return 0
     if report["name"]:
         print(f"gate: {report['name']}")
+    print(
+        f"unitarity_residual: {report['unitarity_residual']:.3e} "
+        f"(tolerance {report['unitarity_tolerance']:.1e})"
+    )
     print(f"coords: {' '.join(_fmt(v) for v in report['coords'])}")
     print(f"G1: {_fmt(report['g1'][0])} {_fmt(report['g1'][1])}i")
     print(f"G2: {_fmt(report['g2'])}")
@@ -474,8 +481,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-            args.seed = _default_seed()
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

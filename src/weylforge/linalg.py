@@ -3,8 +3,9 @@
 Everything in this package works on plain numpy arrays: 2x2 blocks for
 single-qubit operators and 4x4 blocks for two-qubit gates (row-major,
 basis order |00>, |01>, |10>, |11>, qubit 0 = first tensor factor).
-This module holds the shared kernel: the ``GateMatrix`` wrapper that
-checks unitarity once at construction, Kronecker composition, SU(4)
+This module holds the shared kernel: the ``GateMatrix`` wrapper, which
+checks a raw array once where it enters and stores the nearest unitary,
+so every later step trusts it; Kronecker composition, SU(4)
 normalization, the simultaneous diagonalizer for a commuting pair of
 real symmetric matrices, and the Kronecker-factor splitter.
 """
@@ -68,10 +69,13 @@ class ConsistencyError(RuntimeError):
 
 
 class GateMatrix:
-    """A 4x4 unitary, validated once at construction.
+    """A 4x4 unitary, checked once where it enters.
 
-    The wrapped array is read-only; ``unitarity_residual`` records
-    max |U+U - I| found at construction time.
+    A raw array must be 4x4, finite and within ``tol.unitarity`` of
+    unitary (max |U+U - I|); the stored read-only matrix is its nearest
+    unitary, the polar factor W V+ of the SVD U = W S V+.
+    ``unitarity_residual`` is the input's residual before projection;
+    gates built in closed form carry their source's, or 0.0.
     """
 
     __slots__ = ("matrix", "unitarity_residual")
@@ -88,9 +92,8 @@ class GateMatrix:
                 f"matrix is not unitary: residual {residual:.3e} exceeds "
                 f"tolerance {tol.unitarity:.1e}"
             )
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "unitarity_residual", residual)
+        w, _, vh = np.linalg.svd(m)
+        _set_slots(self, w @ vh, residual)
 
     def __setattr__(self, name, value):
         raise AttributeError("GateMatrix is immutable")
@@ -102,8 +105,20 @@ class GateMatrix:
         return f"GateMatrix(residual={self.unitarity_residual:.2e})\n{self.matrix}"
 
 
+def _set_slots(gate: GateMatrix, m: np.ndarray, residual: float) -> GateMatrix:
+    m.setflags(write=False)
+    object.__setattr__(gate, "matrix", m)
+    object.__setattr__(gate, "unitarity_residual", residual)
+    return gate
+
+
+def _trusted_gate(m: np.ndarray, residual: float) -> GateMatrix:
+    """A GateMatrix around an array unitary by construction, unchecked."""
+    return _set_slots(object.__new__(GateMatrix), m, residual)
+
+
 def as_gate(g, tol: Tolerances = DEFAULT_TOLERANCES) -> GateMatrix:
-    """Coerce a GateMatrix or any 4x4 array-like into a GateMatrix."""
+    """A GateMatrix as it is, trusted; any 4x4 array-like checked at tol."""
     if isinstance(g, GateMatrix):
         return g
     return GateMatrix(g, tol=tol)
@@ -135,16 +150,17 @@ def su4_normalize(g, tol: Tolerances = DEFAULT_TOLERANCES) -> GateMatrix:
     """Rescale a 4x4 unitary to unit determinant.
 
     The scale factor is the principal fourth root of 1/det(g), i.e. the
-    root whose argument lies in (-pi/4, pi/4].  Idempotent up to
+    root whose argument lies in (-pi/4, pi/4]; the rescaled gate keeps
+    its input's residual and is not checked again.  Idempotent up to
     floating-point noise.
     """
     gate = as_gate(g, tol=tol)
-    det = np.linalg.det(gate.matrix)
-    if abs(det) < 0.5:
-        # cannot happen for a matrix that passed the unitarity check
-        raise ValueError(f"determinant {det:.3e} is numerically degenerate")
-    factor = (1.0 / det) ** 0.25
-    return GateMatrix(factor * gate.matrix, tol=tol)
+    factor = (1.0 / np.linalg.det(gate.matrix)) ** 0.25
+    return _trusted_gate(factor * gate.matrix, gate.unitarity_residual)
+
+
+# weights r = tan(m pi / 7) of X + r Y, tried in order; see the Notes below
+_MIX_WEIGHTS = tuple(float(np.tan(m * np.pi / 7)) for m in (1, 2, 3, 0, -1, -2, -3))
 
 
 def eig_commuting_symmetric_pair(x, y, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -165,11 +181,15 @@ def eig_commuting_symmetric_pair(x, y, tol: Tolerances = DEFAULT_TOLERANCES):
 
     Notes
     -----
-    Two-sided Jacobi sweeps applied to both matrices at once.  At each
-    pivot the rotation angle is taken from whichever matrix carries the
-    larger off-diagonal magnitude there; this also resolves degenerate
-    eigenvalue clusters of one matrix, because inside such a cluster the
-    other matrix supplies the rotation.
+    ``numpy.linalg.eigh`` of X + r Y (Tucci, quant-ph/0507171) for each r
+    in ``_MIX_WEIGHTS`` in turn, until the off-diagonal residual is within
+    ``tol.diagonality``.  Eigenpairs that differ by |d| (sin b, -cos b)
+    lie |d| sqrt(1 + r^2) |sin(b - atan r)| apart in X + r Y, so eigh
+    separates them to rounding unless atan r is near b (mod pi).  The
+    angles atan r = m pi/7 are pi/7 apart, so one of the seven keeps all
+    six differences at least pi/14 away.  Gram pairs (cos t, sin t) have
+    b = +-2 c_k, so each canonical coordinate rules out m and -m together,
+    and the first four weights (m = 1, 2, 3, 0) suffice.
     """
     X = np.array(x, dtype=float)
     Y = np.array(y, dtype=float)
@@ -184,45 +204,17 @@ def eig_commuting_symmetric_pair(x, y, tol: Tolerances = DEFAULT_TOLERANCES):
             f"matrices do not commute: ||XY - YX||_max = {comm:.3e} exceeds 1e-8"
         )
 
-    O = np.eye(4)
-    threshold = 1e-14 * max(1.0, np.abs(X).max(), np.abs(Y).max())
-    for _ in range(60):
-        off = 0.0
-        for M in (X, Y):
-            od = np.abs(M - np.diag(np.diag(M))).max()
-            off = max(off, od)
-        if off <= threshold:
-            break
-        for p in range(3):
-            for q in range(p + 1, 4):
-                M = X if abs(X[p, q]) >= abs(Y[p, q]) else Y
-                if abs(M[p, q]) <= threshold:
-                    continue
-                theta = (M[q, q] - M[p, p]) / (2.0 * M[p, q])
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                R = np.eye(4)
-                R[p, p] = R[q, q] = c
-                R[p, q] = s
-                R[q, p] = -s
-                X = R.T @ X @ R
-                Y = R.T @ Y @ R
-                O = O @ R
-
-    off = max(
-        np.abs(X - np.diag(np.diag(X))).max(),
-        np.abs(Y - np.diag(np.diag(Y))).max(),
+    offs = []
+    for r in _MIX_WEIGHTS:
+        _, frame = np.linalg.eigh(X + r * Y)
+        d = frame.T @ np.stack([X, Y]) @ frame
+        offs.append(np.abs(d * (1 - np.eye(4))).max())
+        if offs[-1] <= tol.diagonality:
+            return np.column_stack([d[0].diagonal(), d[1].diagonal()]), frame
+    raise ConsistencyError(
+        f"joint diagonalization failed: off-diagonal residual {min(offs):.3e} "
+        f"at best over the weights {_MIX_WEIGHTS}"
     )
-    if off > tol.diagonality:
-        raise ConsistencyError(
-            f"joint diagonalization stalled with off-diagonal residual {off:.3e}"
-        )
-    pairs = np.column_stack([np.diag(X), np.diag(Y)])
-    return pairs, O
 
 
 def split_local(m, tol: Tolerances = DEFAULT_TOLERANCES):

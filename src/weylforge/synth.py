@@ -333,26 +333,18 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
     in enumeration order wins.  If none verifies the infeasibility is
     reported together with everything that was tried.
     """
-    if isinstance(target, GateMatrix):
-        matrix_target = True
-    else:
-        shape = np.asarray(target).shape
-        if shape == (3,):
-            matrix_target = False
-        elif shape == (4, 4):
-            matrix_target = True
-        else:
-            raise ValueError(
-                f"target must be a coordinate triple or a 4x4 gate, got shape {shape}"
-            )
-    if matrix_target:
+    shape = np.shape(target)
+    if shape == (4, 4):
         gate = as_gate(target, tol=tol)
         factors = kak_decompose(gate, tol=tol)
         chamber = factors.core
+    elif shape == (3,):
+        gate = factors = None
+        chamber = reduce_to_weyl(target)
     else:
-        gate = None
-        factors = None
-        chamber = reduce_to_weyl(CanonicalCoords(*(float(v) for v in target)))
+        raise ValueError(
+            f"target must be a coordinate triple or a 4x4 gate, got shape {shape}"
+        )
 
     want = invariants_from_coords(chamber)
     candidates = spe_params(p, chamber)
@@ -375,7 +367,7 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
             candidates,
         )
     sol, core = accepted
-    if not matrix_target:
+    if gate is None:
         return core
 
     # dress the class circuit into the exact matrix: with the circuit's

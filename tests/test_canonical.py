@@ -284,3 +284,28 @@ def test_kak_of_local_gate_has_trivial_core():
 def test_kak_rejects_nonunitary_input():
     with pytest.raises(ValueError):
         kak_decompose(np.eye(4) * 1.2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinates_are_rejected(bad):
+    for c in ((bad, 0.0, 0.0), (0.1, bad, 0.0), (0.1, 0.0, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            reduce_to_weyl(c)
+        with pytest.raises(ValueError, match="finite"):
+            canonical_gate(c)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_GATES))
+def test_kak_reassembles_the_named_gates(name):
+    # degenerate Gram spectra, bare and dressed
+    rng = np.random.default_rng(63)
+    for g in (NAMED_GATES[name], dressed(KNOWN_COORDS[name], rng)):
+        f = kak_decompose(g)
+        recon = (
+            np.exp(1j * f.global_phase)
+            * kron2(f.a1, f.b1)
+            @ canonical_gate(f.core).matrix
+            @ kron2(f.a2, f.b2)
+        )
+        assert np.abs(recon - g).max() < 1e-12
+        assert np.abs(np.subtract(f.core, KNOWN_COORDS[name])).max() < 1e-12

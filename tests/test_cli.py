@@ -2,6 +2,7 @@ import json
 import re
 
 import numpy as np
+import pytest
 
 from weylforge import circuit_from_dict, circuit_matrix, verify_equivalence
 from weylforge.cli import main
@@ -99,6 +100,30 @@ def test_analyze_honours_the_loaded_tolerance(tmp_path, capsys):
         assert "not unitary" in err
 
 
+def test_analyze_reports_the_input_residual_and_its_tolerance(tmp_path, capsys):
+    path = _noisy_cnot_file(tmp_path)
+    code, out, _ = run(capsys, "analyze", path, "--json", "--tolerance", "1e-6")
+    assert code == 0
+    report = json.loads(out)
+    assert 1e-9 < report["unitarity_residual"] < 1e-6
+    assert report["unitarity_tolerance"] == 1e-6
+    code, out, _ = run(capsys, "analyze", path, "--tolerance", "1e-6")
+    assert code == 0
+    residual = re.search(r"^unitarity_residual: (\S+) \(tolerance (\S+)\)$", out, re.M)
+    assert float(residual.group(1)) == float(f"{report['unitarity_residual']:.3e}")
+    assert float(residual.group(2)) == 1e-6
+
+
+def test_synthesize_projects_a_gate_accepted_at_a_loose_tolerance(tmp_path, capsys):
+    path = _noisy_cnot_file(tmp_path)
+    code, out, err = run(capsys, "synthesize", path, "--tolerance", "1e-6")
+    assert code == 0, err
+    assert "verification: PASS" in out
+    code, _, err = run(capsys, "synthesize", path)
+    assert code == 2
+    assert "not unitary" in err
+
+
 def test_analyze_checks_mc_samples_before_loading(capsys):
     code, _, err = run(capsys, "analyze", "/no/such/file.json", "--mc-samples", "0")
     assert code == 2
@@ -115,6 +140,27 @@ def test_analyze_rejects_seeds_outside_the_key_range(capsys, monkeypatch):
     code, _, err = run(capsys, "analyze", "cnot", "--mc-samples", "100")
     assert code == 2
     assert "[0, 2**63)" in err and "Traceback" not in err
+
+
+def test_seed_is_read_only_when_sampling(capsys, monkeypatch):
+    for seed in ("abc", "-5"):
+        monkeypatch.setenv("WEYLFORGE_SEED", seed)
+        code, _, err = run(capsys, "analyze", "cnot")
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, "analyze", "cnot", "--mc-samples", "100")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("coords", ["nan,0.1,0", "0.7,inf,0", "0.7,0.1,-inf"])
+@pytest.mark.parametrize("phi", ["0.3", "auto"])
+def test_synthesize_rejects_non_finite_coords(capsys, coords, phi):
+    code, out, err = run(capsys, "synthesize", "--coords", coords, "--phi", phi)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finite" in err
 
 
 def test_synthesize_writes_verifiable_circuit(tmp_path, capsys):

@@ -6,6 +6,7 @@ from weylforge.linalg import (
     GateMatrix,
     Tolerances,
     as_gate,
+    _MIX_WEIGHTS,
     eig_commuting_symmetric_pair,
     kron2,
     rot_x,
@@ -14,7 +15,7 @@ from weylforge.linalg import (
     split_local,
     su4_normalize,
 )
-from weylforge.gates import CNOT
+from weylforge.gates import CNOT, NAMED_GATES
 
 from conftest import haar_su2
 
@@ -173,3 +174,91 @@ def test_split_local_absorbs_global_phase():
 def test_split_local_rejects_entangling_input():
     with pytest.raises(ConsistencyError):
         split_local(np.asarray(CNOT, dtype=complex))
+
+
+def _noisy(u, amplitude, rng):
+    return u + amplitude * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+
+
+def test_gate_matrix_stores_the_nearest_unitary():
+    rng = np.random.default_rng(41)
+    u = haar_u4(rng)
+    raw = _noisy(u, 1e-8, rng)
+    g = GateMatrix(raw, tol=Tolerances(unitarity=1e-6))
+    # the residual is the input's, the stored matrix is unitary to rounding
+    assert g.unitarity_residual == np.abs(raw.conj().T @ raw - np.eye(4)).max()
+    assert g.unitarity_residual > 1e-9
+    assert np.abs(g.matrix.conj().T @ g.matrix - np.eye(4)).max() < 1e-14
+    # the polar factor: no unitary lies closer to the input (Frobenius)
+    w, _, vh = np.linalg.svd(raw)
+    assert np.array_equal(g.matrix, w @ vh)
+    assert np.abs(g.matrix - raw).max() < 1e-7
+    assert np.linalg.norm(g.matrix - raw) <= np.linalg.norm(u - raw)
+
+
+@pytest.mark.parametrize("name", ["identity", "cnot", "dcnot", "swap"])
+def test_gate_matrix_keeps_exact_permutation_gates_bit_for_bit(name):
+    g = GateMatrix(NAMED_GATES[name])
+    assert np.array_equal(g.matrix, NAMED_GATES[name])
+    assert g.unitarity_residual == 0.0
+
+
+def test_su4_normalize_keeps_the_input_residual():
+    rng = np.random.default_rng(42)
+    g = GateMatrix(_noisy(haar_u4(rng), 1e-8, rng), tol=Tolerances(unitarity=1e-6))
+    v = su4_normalize(g)
+    assert v.unitarity_residual == g.unitarity_residual
+    assert abs(np.linalg.det(v.matrix) - 1) < 1e-14
+    assert not v.matrix.flags.writeable
+
+
+def _circle_pair(rng, angles):
+    """Commuting X, Y with joint eigenpairs (cos t, sin t): the real and
+    imaginary parts of a symmetric unitary."""
+    z = rng.normal(size=(4, 4))
+    o, r = np.linalg.qr(z)
+    o = o * np.sign(np.diag(r))
+    angles = np.asarray(angles, dtype=float)
+    return o @ np.diag(np.cos(angles)) @ o.T, o @ np.diag(np.sin(angles)) @ o.T
+
+
+def _off_diagonal(m):
+    return np.abs(m - np.diag(np.diag(m))).max()
+
+
+def test_pair_resolves_eigenpairs_merged_by_the_first_weight():
+    # (cos t, sin t) pairs at t = atan r +- 0.6 share one eigenvalue of
+    # X + r Y, so eigh of that combination alone mixes their eigenvectors
+    r = _MIX_WEIGHTS[0]
+    rng = np.random.default_rng(43)
+    angles = [np.arctan(r) + 0.6, np.arctan(r) - 0.6, 2.1, -1.9]
+    x, y = _circle_pair(rng, angles)
+    merged = np.linalg.eigvalsh(x + r * y)
+    assert np.sort(np.diff(np.sort(merged)))[0] < 1e-12
+    _, single = np.linalg.eigh(x + r * y)
+    assert _off_diagonal(single.T @ x @ single) > 1e-3
+
+    pairs, frame = eig_commuting_symmetric_pair(x, y)
+    assert np.allclose(frame.T @ frame, np.eye(4), atol=1e-12)
+    assert _off_diagonal(frame.T @ x @ frame) < 1e-9
+    assert _off_diagonal(frame.T @ y @ frame) < 1e-9
+    got = np.sort(np.arctan2(pairs[:, 1], pairs[:, 0]))
+    assert np.allclose(got, np.sort(angles), atol=1e-9)
+
+
+
+def test_pair_resolves_gram_pairs_merged_by_the_first_three_weights():
+    # eigenphases summing to 0 whose half-sums (t1+t2)/2, (t1+t3)/2 and
+    # (t1+t4)/2 sit at the angles atan r of the first three weights
+    a, b, c = (np.arctan(r) for r in _MIX_WEIGHTS[:3])
+    angles = [a + b + c, a - b - c, b - a - c, c - a - b]
+    x, y = _circle_pair(np.random.default_rng(44), angles)
+    for r in _MIX_WEIGHTS[:3]:
+        _, single = np.linalg.eigh(x + r * y)
+        assert _off_diagonal(single.T @ x @ single) > 1e-3
+
+    pairs, frame = eig_commuting_symmetric_pair(x, y)
+    assert _off_diagonal(frame.T @ x @ frame) < 1e-9
+    assert _off_diagonal(frame.T @ y @ frame) < 1e-9
+    got = np.sort(pairs[:, 0] + 1j * pairs[:, 1])
+    assert np.allclose(got, np.sort(np.exp(1j * np.array(angles))), atol=1e-9)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from weylforge import (
     Circuit,
     DegenerateTargetError,
+    GateMatrix,
     InfeasibleSynthesisError,
     LocalLayer,
     NonlocalLayer,
@@ -19,6 +20,7 @@ from weylforge import (
     extract_coordinates,
     feasible_phi_profile,
     infeasibility_reasons,
+    kak_decompose,
     kron2,
     reduce_to_weyl,
     spe_params,
@@ -125,6 +127,87 @@ def test_synthesize_rejects_malformed_targets():
         synthesize(np.eye(2), EIGHTH)
     with pytest.raises(ValueError):
         synthesize("swap", EIGHTH)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_synthesize_rejects_non_finite_coordinates(bad):
+    with pytest.raises(ValueError, match="finite"):
+        synthesize((bad, 0.1, 0.0), EIGHTH)
+
+
+def test_noisy_dressed_gates_synthesize_without_consistency_errors():
+    # dressed gates plus complex Gaussian noise of log-uniform amplitude
+    # in [1e-12, 10^-9.5]; those within the default unitarity tolerance
+    # (387 of 400) must decompose and synthesize, reproducing the gate
+    # that passed validation
+    rng = np.random.default_rng(3)
+    accepted = 0
+    for _ in range(400):
+        c = chamber_point(rng)
+        u = dressed(c, rng)
+        amplitude = 10 ** rng.uniform(-12, -9.5)
+        noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        try:
+            g = GateMatrix(u + amplitude * noise)
+        except ValueError:
+            continue
+        accepted += 1
+        kak_decompose(g)
+        circ = synthesize(g, EIGHTH)
+        assert np.abs(circuit_matrix(circ).matrix - g.matrix).max() < 1e-7
+    assert accepted == 387
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        # 2 c_k at atan r of each weight (3 pi/7, 2 pi/7, pi/7 mod pi)
+        (3 * np.pi / 14, np.pi / 7, np.pi / 14),
+        (3 * np.pi / 14, np.pi / 7, -np.pi / 14),
+        # the same for the weights r = 1.4656, 0.7549 and -0.5437
+        (np.arctan(1.4655712318767680) / 2, np.arctan(0.7548776662466927) / 2,
+         np.arctan(0.5436890126920764) / 2),
+        (np.arctan(1.4655712318767680) / 2, np.arctan(0.7548776662466927) / 2,
+         -np.arctan(0.5436890126920764) / 2),
+    ],
+)
+def test_classes_whose_gram_pairs_merge_under_several_weights(coords):
+    rng = np.random.default_rng(64)
+    for _ in range(3):
+        g = dressed(coords, rng)
+        f = kak_decompose(g)
+        assert np.abs(np.subtract(f.core, coords)).max() < 1e-9
+        circ = synthesize(g, EIGHTH)
+        assert np.abs(circuit_matrix(circ).matrix - g).max() < 1e-7
+
+
+def test_trusted_gates_are_checked_once(monkeypatch):
+    # a GateMatrix is validated where it is built from a raw array; the
+    # only later checks are those of circuit_matrix, a boundary for
+    # circuits read from JSON
+    import weylforge.synth as synth
+
+    counts = {"validations": 0, "circuit_matrix": 0}
+    validate = GateMatrix.__init__
+    circuit = synth.circuit_matrix
+
+    def counting_validate(self, *args, **kwargs):
+        counts["validations"] += 1
+        validate(self, *args, **kwargs)
+
+    def counting_circuit(*args, **kwargs):
+        counts["circuit_matrix"] += 1
+        return circuit(*args, **kwargs)
+
+    monkeypatch.setattr(GateMatrix, "__init__", counting_validate)
+    monkeypatch.setattr(synth, "circuit_matrix", counting_circuit)
+    rng = np.random.default_rng(95)
+    g = GateMatrix(dressed(chamber_point(rng), rng))
+    extract_coordinates(g)
+    assert counts == {"validations": 1, "circuit_matrix": 0}
+    synthesize(g, EIGHTH)
+    assert counts["circuit_matrix"] > 0
+    assert counts["validations"] == 1 + counts["circuit_matrix"]
 
 
 def test_swap_is_out_of_reach_away_from_the_b_class():
