@@ -24,6 +24,13 @@ rounding steps: each qubit's phase factor exp(i ph/2) is computed once,
 and its conjugate, bit-identical to exp(-i ph/2), serves the |1>
 amplitude.  tests/test_entangle.py pins the stream to the reference
 formula with four exponentials.
+
+The batch loop allocates one workspace per call (states, images and
+concurrence scratch for at most 4096 rows) and writes every batch into
+it in place, the sampler filling its states through out=.  An array the
+loop yields is overwritten by the next batch.  Neither the sampling
+formula nor the stream changes: the in-place steps are the same ufuncs,
+in the same order, as the allocating expressions they replace.
 """
 
 import operator
@@ -156,7 +163,9 @@ def _key_word(name: str, value) -> int:
     return k
 
 
-def haar_product_states(seed: int, batch_index: int, count: int) -> np.ndarray:
+def haar_product_states(
+    seed: int, batch_index: int, count: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """One batch of Haar-random two-qubit product states, shape (count, 4).
 
     Each qubit is drawn by inverse CDF on the Bloch sphere (cos theta
@@ -166,24 +175,56 @@ def haar_product_states(seed: int, batch_index: int, count: int) -> np.ndarray:
     work partition.  Each qubit's phase factor e = exp(i ph/2) is
     computed once; e.conj() is bit-identical to exp(-i ph/2) and serves
     the |1> amplitude.  This formula is part of the stream contract.
+
+    out, as in numpy's ufuncs, is an optional (count, 4) complex128 array
+    that receives the states and is returned; any other shape or dtype is
+    a ValueError, since a narrower dtype would round the stream.  The
+    states written are bit-identical to those of the allocating call.
     """
     key = [_key_word("seed", seed), _key_word("batch_index", batch_index)]
+    if out is None:
+        out = np.empty((count, 4), dtype=complex)
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.shape == (count, 4)
+        and out.dtype == np.complex128
+    ):
+        got = (
+            f"{out.shape} {out.dtype}"
+            if isinstance(out, np.ndarray)
+            else type(out).__name__
+        )
+        raise ValueError(f"out must be a ({count}, 4) complex128 array, got {got}")
     gen = np.random.Generator(np.random.Philox(key=key))
     u = gen.random((count, 4))
-    ct1, ph1 = 2.0 * u[:, 0] - 1.0, 2.0 * np.pi * u[:, 1]
-    ct2, ph2 = 2.0 * u[:, 2] - 1.0, 2.0 * np.pi * u[:, 3]
-    e1 = np.exp(0.5j * ph1)
-    e2 = np.exp(0.5j * ph2)
-    a0 = np.sqrt((1.0 + ct1) / 2.0) * e1
-    a1 = np.sqrt((1.0 - ct1) / 2.0) * e1.conj()
-    b0 = np.sqrt((1.0 + ct2) / 2.0) * e2
-    b1 = np.sqrt((1.0 - ct2) / 2.0) * e2.conj()
-    states = np.empty((count, 4), dtype=complex)
-    np.multiply(a0, b0, out=states[:, 0])
-    np.multiply(a0, b1, out=states[:, 1])
-    np.multiply(a1, b0, out=states[:, 2])
-    np.multiply(a1, b1, out=states[:, 3])
-    return states
+    # Per qubit, columns (cos theta, ph) become the amplitudes (a0, a1)
+    # in place, through the same ufuncs and rounding steps as
+    # a0 = sqrt((1 + ct)/2) * e and a1 = sqrt((1 - ct)/2) * e.conj().
+    amps = np.empty((4, count), dtype=complex)
+    root = np.empty(count)
+    for q in (0, 1):
+        ct, ph = u[:, 2 * q], u[:, 2 * q + 1]
+        a0, a1 = amps[2 * q], amps[2 * q + 1]
+        np.multiply(2.0, ct, out=ct)
+        np.subtract(ct, 1.0, out=ct)
+        np.multiply(2.0 * np.pi, ph, out=ph)
+        np.multiply(0.5j, ph, out=a0)
+        np.exp(a0, out=a0)
+        np.conjugate(a0, out=a1)
+        np.subtract(1.0, ct, out=root)
+        np.divide(root, 2.0, out=root)
+        np.sqrt(root, out=root)
+        np.multiply(root, a1, out=a1)
+        np.add(1.0, ct, out=root)
+        np.divide(root, 2.0, out=root)
+        np.sqrt(root, out=root)
+        np.multiply(root, a0, out=a0)
+    a0, a1, b0, b1 = amps
+    np.multiply(a0, b0, out=out[:, 0])
+    np.multiply(a0, b1, out=out[:, 1])
+    np.multiply(a1, b0, out=out[:, 2])
+    np.multiply(a1, b1, out=out[:, 3])
+    return out
 
 
 def _sample_run(n, seed) -> tuple:
@@ -200,12 +241,30 @@ def _image_concurrences(gate: np.ndarray, n: int, seed: int):
     product states psi drawn from the stream keyed by seed.
 
     Batches hold 4096 states (the last one the remainder), batch j drawn
-    by haar_product_states(seed, j, count).
+    by haar_product_states(seed, j, count) into the states buffer.  One
+    workspace of min(n, 4096) rows serves the whole call: states, images
+    and concurrence scratch are written in place, so the yielded array
+    is a view that the next batch overwrites.  Consume each batch before
+    asking for the next.  The arithmetic, and so the stream, is that of
+    the allocating formula 2|i0 i3 - i1 i2| over images = states @ gate.T.
     """
+    rows = min(n, _BATCH)
+    states = np.empty((rows, 4), dtype=complex)
+    images = np.empty((rows, 4), dtype=complex)
+    ad = np.empty(rows, dtype=complex)
+    bc = np.empty(rows, dtype=complex)
+    conc = np.empty(rows)
     for j in range((n + _BATCH - 1) // _BATCH):
         count = min(_BATCH, n - j * _BATCH)
-        images = haar_product_states(seed, j, count) @ gate.T
-        yield 2.0 * np.abs(images[:, 0] * images[:, 3] - images[:, 1] * images[:, 2])
+        im, x, y, c = images[:count], ad[:count], bc[:count], conc[:count]
+        psi = haar_product_states(seed, j, count, out=states[:count])
+        np.matmul(psi, gate.T, out=im)
+        np.multiply(im[:, 0], im[:, 3], out=x)
+        np.multiply(im[:, 1], im[:, 2], out=y)
+        np.subtract(x, y, out=x)
+        np.abs(x, out=c)
+        np.multiply(2.0, c, out=c)
+        yield c
 
 
 def entangling_power_mc(
@@ -224,10 +283,13 @@ def entangling_power_mc(
     gate = as_gate(g, tol=tol).matrix
     sums = []
     squares = []
-    for conc in _image_concurrences(gate, n, seed):
-        entropy = 0.5 * conc**2
+    for entropy in _image_concurrences(gate, n, seed):
+        # entropy = 0.5 * conc**2, then its square, in the batch's buffer
+        np.square(entropy, out=entropy)
+        np.multiply(0.5, entropy, out=entropy)
         sums.append(entropy.sum())
-        squares.append((entropy * entropy).sum())
+        np.square(entropy, out=entropy)
+        squares.append(entropy.sum())
     total = float(np.sum(sums))
     total_sq = float(np.sum(squares))
     mean = total / n

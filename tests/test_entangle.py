@@ -23,10 +23,11 @@ from conftest import chamber_point, dressed, haar_state
 TWO_NINTHS = 2.0 / 9.0
 
 
-def _four_exponential_states(seed, batch_index, count):
+def _four_exponential_states(seed, batch_index, count, out=None):
     """Reference sampler: the earlier formula with four complex
     exponentials and a stack of four temporaries.  The stream contract
-    says the sampler must reproduce it bit for bit."""
+    says the sampler must reproduce it bit for bit.  Like the sampler,
+    it fills and returns out when one is given."""
     gen = np.random.Generator(np.random.Philox(key=[seed, batch_index]))
     u = gen.random((count, 4))
     ct1, ph1 = 2.0 * u[:, 0] - 1.0, 2.0 * np.pi * u[:, 1]
@@ -35,7 +36,11 @@ def _four_exponential_states(seed, batch_index, count):
     a1 = np.sqrt((1.0 - ct1) / 2.0) * np.exp(-0.5j * ph1)
     b0 = np.sqrt((1.0 + ct2) / 2.0) * np.exp(0.5j * ph2)
     b1 = np.sqrt((1.0 - ct2) / 2.0) * np.exp(-0.5j * ph2)
-    return np.stack([a0 * b0, a0 * b1, a1 * b0, a1 * b1], axis=1)
+    states = np.stack([a0 * b0, a0 * b1, a1 * b0, a1 * b1], axis=1)
+    if out is None:
+        return states
+    out[...] = states
+    return out
 
 
 def test_concurrence_known_states():
