@@ -208,15 +208,29 @@ def reduce_to_weyl(c) -> CanonicalCoords:
     return _snap_to_chamber(cand)
 
 
+# extraction precision (about sqrt(eps) at a degenerate phase) plus the fold's 1e-12 snap
+_SAME_CLASS_TOL = 1e-7
+
+
+def _class_match(a, b, tol: float):
+    """"direct" or "mirror" if chamber points a and b name one class, else None.
+
+    The mirror c -> (pi/2 - c1, c2, -c3) keeps the class on the face
+    c1 = pi/4, and rounding decides on which side of it the fold lands.
+    """
+    for how, image in (("direct", a), ("mirror", (HALF - a[0], a[1], -a[2]))):
+        if max(abs(p - q) for p, q in zip(image, b)) <= tol:
+            return how
+    return None
+
+
 def coords_equivalent(a, b, tol: float = 1e-9) -> bool:
     """Do two coordinate triples name the same local-equivalence class?
 
-    Compares chamber representatives, cross-checked against the closed
-    form invariants of both triples.
+    Compares chamber representatives, across the face c1 = pi/4 too,
+    cross-checked against the closed form invariants of both triples.
     """
-    ra = reduce_to_weyl(a)
-    rb = reduce_to_weyl(b)
-    same_rep = max(abs(x - y) for x, y in zip(ra, rb)) <= tol
+    same_rep = _class_match(reduce_to_weyl(a), reduce_to_weyl(b), tol) is not None
     ia = invariants_from_coords(a)
     ib = invariants_from_coords(b)
     same_inv = abs(ia.g1 - ib.g1) <= 1e-7 and abs(ia.g2 - ib.g2) <= 1e-7

@@ -27,10 +27,11 @@ without synthesizing, and infeasibility_reasons (and the message of
 InfeasibleSynthesisError) names the condition each branch violates and
 by how much.
 
-Inverse cosines fix a and b only up to quadrant, so each feasible branch
-expands into the sign variants a in {a0, -a0, pi/2-a0, a0-pi/2} and
-b in {b0, -b0}; candidates are verified in a fixed order and the first
-that reproduces the target class is kept.
+Inverse cosines give a0 in [0, pi/4] and b0 in [0, pi/2].  The signed
+matching equation cos 2a sin 2b sin 4phi = sin 2c2 sin 2c3 then fixes
+the quadrant: with a = a0, cos 2a, sin 4phi and sin 2c2 are all
+non-negative, so b takes the sign of c3.  That leaves one solution per
+feasible branch (-a0 gives the same class, pi/2 +- a0 needs the opposite b).
 """
 
 from dataclasses import dataclass
@@ -49,8 +50,11 @@ from .linalg import (
 )
 from .invariants import invariants_from_coords, local_invariants
 from .canonical import (
+    _SAME_CLASS_TOL,
     QUARTER,
     CanonicalCoords,
+    _chamber_locals,
+    _class_match,
     canonical_gate,
     extract_coordinates,
     kak_decompose,
@@ -88,7 +92,7 @@ class DegenerateTargetError(ValueError):
 
 
 class InfeasibleSynthesisError(RuntimeError):
-    """No candidate solution verified; carries the scanned candidates.
+    """No candidate solution verified; carries the candidates tried.
 
     The message names the violated condition of each infeasible branch.
     This is a property of the (target, phi) pair, not a malformed input:
@@ -102,13 +106,12 @@ class InfeasibleSynthesisError(RuntimeError):
 
 @dataclass(frozen=True)
 class SynthesisSolution:
-    """One middle-layer candidate: angles, branch, and quadrant choice."""
+    """One middle-layer solution: the angles and the branch they solve."""
 
     phi: float
     a: float
     b: float
     branch: str
-    sign_choice: str
 
 
 @dataclass(frozen=True)
@@ -196,15 +199,6 @@ def b_gate_params(c2: float, c3: float):
     return float(a), float(b)
 
 
-_A_VARIANTS = (
-    ("a0", lambda a0: a0),
-    ("-a0", lambda a0: -a0),
-    ("pi/2-a0", lambda a0: np.pi / 2 - a0),
-    ("a0-pi/2", lambda a0: a0 - np.pi / 2),
-)
-_B_VARIANTS = (("b0", lambda b0: b0), ("-b0", lambda b0: -b0))
-
-
 def _admissible_phi(p) -> float:
     phi = _phi(p)
     if phi <= 1e-12 or phi >= QUARTER - 1e-12:
@@ -281,28 +275,19 @@ def infeasibility_reasons(target, p) -> list:
 
 
 def spe_params(p, target) -> list:
-    """All middle-layer candidates for synthesizing target with C[phi].
+    """Middle-layer solutions for synthesizing target with C[phi].
 
-    Feasible branch roots expanded over the quadrant variants, in the
-    fixed order branches (sols1, sols2) x a-variants x b-variants; the
-    list may be empty (infeasible phi), which is a result, not an error.
+    One solution per feasible branch, in the order (sols1, sols2), with
+    a = a0 and b = b0 carrying the sign of c3 (see the module
+    docstring).  The list may be empty (infeasible phi), which is a
+    result, not an error.
     """
     phi = _admissible_phi(p)
     c = reduce_to_weyl(target)
-    solutions = []
-    for branch, a0, b0 in _branch_roots(phi, c.c2, c.c3)[0]:
-        for a_name, a_fn in _A_VARIANTS:
-            for b_name, b_fn in _B_VARIANTS:
-                solutions.append(
-                    SynthesisSolution(
-                        phi=phi,
-                        a=float(a_fn(a0)),
-                        b=float(b_fn(b0)),
-                        branch=branch,
-                        sign_choice=f"{a_name},{b_name}",
-                    )
-                )
-    return solutions
+    return [
+        SynthesisSolution(phi=phi, a=a0, b=b0 if c.c3 >= 0 else -b0, branch=branch)
+        for branch, a0, b0 in _branch_roots(phi, c.c2, c.c3)[0]
+    ]
 
 
 def _middle_layer(c1: float, sol: SynthesisSolution) -> LocalLayer:
@@ -328,10 +313,9 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
     local layers and a global phase so the assembled circuit reproduces
     the matrix itself within 1e-7.
 
-    Candidates from spe_params are screened by the cheap invariant
-    match, then certified on coordinates; the first verified candidate
-    in enumeration order wins.  If none verifies the infeasibility is
-    reported together with everything that was tried.
+    Each solution from spe_params is certified by verify_equivalence,
+    sols1 first; the first that verifies wins.  If none verifies the
+    infeasibility is reported together with everything that was tried.
     """
     shape = np.shape(target)
     if shape == (4, 4):
@@ -346,18 +330,12 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
             f"target must be a coordinate triple or a 4x4 gate, got shape {shape}"
         )
 
-    want = invariants_from_coords(chamber)
     candidates = spe_params(p, chamber)
-    accepted = None
     for sol in candidates:
         core = _core_circuit(chamber, sol)
-        got = local_invariants(circuit_matrix(core, tol=tol), tol=tol)
-        if abs(got.g1 - want.g1) > 1e-8 or abs(got.g2 - want.g2) > 1e-8:
-            continue
         if verify_equivalence(core, chamber, tol=tol):
-            accepted = (sol, core)
             break
-    if accepted is None:
+    else:
         reasons = infeasibility_reasons(chamber, p)
         if candidates:
             reasons.append(f"none of {len(candidates)} candidates verified")
@@ -366,7 +344,6 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
             f"{tuple(chamber)}: " + "; ".join(reasons),
             candidates,
         )
-    sol, core = accepted
     if gate is None:
         return core
 
@@ -375,17 +352,19 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
     # target's g = e^{ig}(a1 (x) b1) G(core) (a2 (x) b2),
     #   g = e^{i(g-b)} (a1 p1+ (x) b1 q1+) M (p2+ a2 (x) q2+ b2)
     inner = kak_decompose(circuit_matrix(core, tol=tol), tol=tol)
-    lead = LocalLayer(
-        top=inner.a2.conj().T @ factors.a2,
-        bottom=inner.b2.conj().T @ factors.b2,
-    )
-    trail = LocalLayer(
-        top=factors.a1 @ inner.a1.conj().T,
-        bottom=factors.b1 @ inner.b1.conj().T,
-    )
+    p1, q1, p2, q2, beta = inner.a1, inner.b1, inner.a2, inner.b2, inner.global_phase
+    if _class_match(inner.core, factors.core, _SAME_CLASS_TOL) == "mirror":
+        # inner.core is named from the other side of the face c1 = pi/4:
+        # the fold's fix-ups give G(inner.core) = e^{it} (la (x) lb) G(m)
+        # (ra (x) rb) with m = (pi/2 - c1, c2, -c3), which matches factors.core
+        mirror = ((-1, 0, 0), (-1, 1, -1), (0, 1, 2))
+        (la, lb, ra, rb), t, _ = _chamber_locals(inner.core, *mirror)
+        p1, q1, p2, q2, beta = p1 @ la, q1 @ lb, ra @ p2, rb @ q2, beta + t
+    lead = LocalLayer(top=p2.conj().T @ factors.a2, bottom=q2.conj().T @ factors.b2)
+    trail = LocalLayer(top=factors.a1 @ p1.conj().T, bottom=factors.b1 @ q1.conj().T)
     full = Circuit(
         layers=(lead, *core.layers, trail),
-        global_phase=float(factors.global_phase - inner.global_phase),
+        global_phase=float(factors.global_phase - beta),
     )
     residual = np.abs(circuit_matrix(full, tol=tol).matrix - gate.matrix).max()
     if residual > 1e-7:
@@ -399,7 +378,9 @@ def verify_equivalence(c: Circuit, target, tol: Tolerances = DEFAULT_TOLERANCES)
     """Does the circuit implement the target class?
 
     Checks the local invariants within 1e-8 and, independently, the
-    extracted chamber coordinates within 1e-7.
+    extracted chamber coordinates within 1e-7, directly or across the
+    face c1 = pi/4, where (pi/4, c2, c3) and (pi/4, c2, -c3) name one
+    class (Zhang et al., PRA 67, 042313 (2003)).
     """
     chamber = reduce_to_weyl(CanonicalCoords(*(float(v) for v in target)))
     m = circuit_matrix(c, tol=tol)
@@ -408,7 +389,7 @@ def verify_equivalence(c: Circuit, target, tol: Tolerances = DEFAULT_TOLERANCES)
     if abs(got.g1 - want.g1) > 1e-8 or abs(got.g2 - want.g2) > 1e-8:
         return False
     coords = extract_coordinates(m, tol=tol)
-    return max(abs(x - y) for x, y in zip(coords, chamber)) <= 1e-7
+    return _class_match(coords, chamber, _SAME_CLASS_TOL) is not None
 
 
 def special_circuit(kind: str, p) -> Circuit:

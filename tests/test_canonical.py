@@ -228,6 +228,44 @@ def test_coords_equivalent():
     assert not coords_equivalent((QUARTER, 0, 0), (QUARTER, QUARTER, 0))
 
 
+def test_coords_equivalent_across_the_mirror_face():
+    # (pi/4 - d, c2, c3) lies within d of the class (pi/4, c2, -c3); the
+    # fold may name either side of the face, depending on rounding
+    rng = np.random.default_rng(0)
+    for d in (5e-13, 1e-12, 2e-12):
+        for _ in range(200):
+            c2 = rng.uniform(0.0, QUARTER)
+            c3 = rng.uniform(-c2, c2)
+            assert coords_equivalent((QUARTER - d, c2, c3), (QUARTER, c2, -c3)), (d, c2, c3)
+
+
+def test_the_mirror_identifies_only_the_face():
+    assert not coords_equivalent((0.6, 0.3, 0.1), (0.6, 0.3, -0.1))
+    assert not coords_equivalent((QUARTER - 1e-6, 0.3, 0.1), (QUARTER, 0.3, -0.1))
+    near = (QUARTER - 1e-12, 0.3, -0.1)
+    assert canonical._class_match(near, near, 1e-9) == "direct"
+    assert canonical._class_match(near, (QUARTER, 0.3, 0.1), 1e-9) == "mirror"
+    assert canonical._class_match(near, (QUARTER, 0.3, 0.1 + 1e-8), 1e-9) is None
+
+
+def test_chamber_locals_realize_the_mirror():
+    # G(c) = e^{i t} (La (x) Lb) G(pi/2 - c1, c2, -c3) (Ra (x) Rb)
+    rng = np.random.default_rng(1)
+    for t in mirror_face_targets(count=10):
+        c = (t.c1 - rng.uniform(0.0, 1e-12), t.c2, t.c3)
+        (la, lb, ra, rb), phase, mirrored = canonical._chamber_locals(
+            c, (-1, 0, 0), (-1, 1, -1), (0, 1, 2)
+        )
+        assert np.abs(mirrored - (np.pi / 2 - c[0], c[1], -c[2])).max() < 1e-15
+        recon = (
+            np.exp(1j * phase)
+            * kron2(la, lb)
+            @ canonical_gate(mirrored).matrix
+            @ kron2(ra, rb)
+        )
+        assert np.abs(recon - canonical_gate(c).matrix).max() < 1e-14
+
+
 @pytest.mark.parametrize("name,expected", sorted(KNOWN_COORDS.items()))
 def test_extract_named_gate_coordinates(name, expected):
     got = extract_coordinates(NAMED_GATES[name])

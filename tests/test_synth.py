@@ -28,8 +28,11 @@ from weylforge import (
     synthesize,
     verify_equivalence,
 )
+from weylforge.canonical import _SAME_CLASS_TOL, _class_match
+from weylforge.invariants import invariants_from_coords, local_invariants
 from weylforge.linalg import rot_x, rot_y
 from weylforge.gates import NAMED_GATES
+from weylforge.synth import SynthesisSolution, _branch_roots, _core_circuit
 
 from conftest import chamber_point, dressed, mirror_face_targets
 
@@ -64,7 +67,7 @@ def test_b_gate_params_agrees_with_general_branch_roots():
         sols = [
             s
             for s in spe_params(EIGHTH, (QUARTER, c2, c3))
-            if s.branch == "sols2" and s.sign_choice == "a0,b0"
+            if s.branch == "sols2"
         ]
         assert sols
         assert abs(np.sin(2 * sols[0].a) - np.sin(2 * a_ref)) < 1e-10
@@ -81,6 +84,31 @@ def test_solutions_satisfy_the_matching_equation():
                 lhs = abs(np.cos(2 * s.a) * np.sin(2 * s.b) * np.sin(4 * phi))
                 rhs = abs(np.sin(2 * c.c2) * np.sin(2 * c.c3))
                 assert abs(lhs - rhs) < 1e-8
+
+
+def test_solutions_satisfy_the_signed_matching_equation():
+    # cos 2a sin 2b sin 4phi = sin 2c2 sin 2c3, sign included: the
+    # quadrant of (a, b) is fixed by it, not searched
+    rng = np.random.default_rng(99)
+    classes = [chamber_point(rng) for _ in range(20)] + _boundary_classes(rng, 2)
+    for phi in (EIGHTH, 0.3, 0.5):
+        for target in classes:
+            c = reduce_to_weyl(target)
+            for s in spe_params(phi, c):
+                lhs = np.cos(2 * s.a) * np.sin(2 * s.b) * np.sin(4 * phi)
+                rhs = np.sin(2 * c.c2) * np.sin(2 * c.c3)
+                assert abs(lhs - rhs) < 1e-8, (c, phi, s)
+
+
+def test_spe_params_gives_one_solution_per_feasible_branch():
+    rng = np.random.default_rng(100)
+    for _ in range(20):
+        c = reduce_to_weyl(chamber_point(rng))
+        for phi in (EIGHTH, 0.3):
+            sols = spe_params(phi, c)
+            roots, failures = _branch_roots(phi, c.c2, c.c3)
+            assert [s.branch for s in sols] == [r[0] for r in roots]
+            assert len(sols) + len(failures) == 2
 
 
 def test_phi_endpoints_are_rejected():
@@ -105,6 +133,53 @@ def test_synthesize_mirror_face_targets_at_the_b_gate():
         circ = synthesize(t, EIGHTH)
         assert circ.nonlocal_count() == 2
         assert verify_equivalence(circ, t)
+
+
+def _assert_face_dressing_synthesizes(c, g):
+    # extraction names the class of c (from either side of the face),
+    # and the dressed circuit reproduces g itself
+    got = extract_coordinates(g)
+    assert _class_match(got, reduce_to_weyl(c), _SAME_CLASS_TOL) is not None, (c, got)
+    circ = synthesize(g, EIGHTH)
+    assert circ.nonlocal_count() == 2
+    assert np.abs(circuit_matrix(circ).matrix - g).max() < 1e-7, c
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-14, 1e-12, 1e-10])
+def test_dressed_gates_at_the_mirror_face_synthesize(offset):
+    # at offset 1e-12 the fold's face test rep[0] >= pi/4 - 1e-12 is
+    # decided by rounding, so the target and the circuit may be named
+    # from opposite sides of the face; seeds 9, 36, 38, 42, 135, 136,
+    # 151 and 168 are such dressings
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        c2 = rng.uniform(0.0, QUARTER)
+        c3 = rng.uniform(-c2, c2)
+        c = (QUARTER - offset, c2, c3)
+        _assert_face_dressing_synthesizes(c, dressed(c, rng))
+
+
+_MIRROR_FACE_AND_EDGES = (
+    lambda t, u: (t, u),
+    lambda t, u: (t, t),
+    lambda t, u: (t, -t),
+    lambda t, u: (QUARTER, u),
+    lambda t, u: (t, 0.0),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(0.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.sampled_from(_MIRROR_FACE_AND_EDGES),
+    st.sampled_from([0.0, 1e-14, 1e-12, 1e-10]),
+    st.integers(0, 2**32 - 1),
+)
+def test_dressed_gates_at_the_mirror_face_synthesize_property(v, w, edge, offset, seed):
+    t = v * QUARTER
+    c = (QUARTER - offset, *edge(t, w * t))
+    _assert_face_dressing_synthesizes(c, dressed(c, np.random.default_rng(seed)))
 
 
 def test_synthesize_accepts_params_object_and_identity_target():
@@ -326,6 +401,85 @@ def test_feasible_phi_profile_matches_the_synthesis_scan_property(u, v, w, face)
     c2 = v * c1
     c = face(c1, c2, w * c2)
     assert feasible_phi_profile(c, 31) == _scanned_phi_profile(c, 31)
+
+
+def _enumerated_choice(target, phi):
+    """Reference: the middle-layer quadrant by search, not closed form.
+
+    Expands each feasible branch root into the eight sign variants
+    a in {a0, -a0, pi/2 - a0, a0 - pi/2}, b in {b0, -b0}, in that
+    order, screens each by its local invariants and returns the first
+    that verify_equivalence accepts, or None.
+    """
+    chamber = reduce_to_weyl(target)
+    want = invariants_from_coords(chamber)
+    # spe_params folds the chamber point it is given once more, which
+    # can move a negative c3 by an ulp; the roots come from that point
+    c = reduce_to_weyl(chamber)
+    for branch, a0, b0 in _branch_roots(phi, c.c2, c.c3)[0]:
+        for a in (a0, -a0, np.pi / 2 - a0, a0 - np.pi / 2):
+            for b in (b0, -b0):
+                sol = SynthesisSolution(phi=phi, a=float(a), b=float(b), branch=branch)
+                core = _core_circuit(chamber, sol)
+                got = local_invariants(circuit_matrix(core))
+                if abs(got.g1 - want.g1) > 1e-8 or abs(got.g2 - want.g2) > 1e-8:
+                    continue
+                if verify_equivalence(core, chamber):
+                    return sol
+    return None
+
+
+def _assert_matches_the_enumeration(target, phi):
+    ref = _enumerated_choice(target, phi)
+    try:
+        circ = synthesize(target, phi)
+    except InfeasibleSynthesisError:
+        assert ref is None, (target, phi)
+        return
+    assert ref is not None, (target, phi)
+    chamber = reduce_to_weyl(target)
+    got = circuit_to_dict(circ)
+    sol = next(
+        s for s in spe_params(phi, chamber)
+        if circuit_to_dict(_core_circuit(chamber, s)) == got
+    )
+    assert (sol.branch, sol.a) == (ref.branch, ref.a), (target, phi)
+    # within 1e-7 of c3 = 0 the search kept b0 whatever the sign of c3
+    if abs(chamber.c3) > 1e-7:
+        assert sol.b == ref.b, (target, phi)
+
+
+def _grid(size=31):
+    return [(k + 1) * QUARTER / (size + 1) for k in range(size)]
+
+
+def test_synthesis_matches_the_enumeration_on_random_classes():
+    rng = np.random.default_rng(101)
+    for _ in range(30):
+        c = chamber_point(rng)
+        for phi in _grid():
+            _assert_matches_the_enumeration(c, phi)
+
+
+def test_synthesis_matches_the_enumeration_on_faces_and_edges():
+    rng = np.random.default_rng(102)
+    for c in _boundary_classes(rng, 4):
+        for phi in _grid():
+            _assert_matches_the_enumeration(c, phi)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.sampled_from(_FACES),
+    st.floats(0.01, QUARTER - 0.01),
+)
+def test_synthesis_matches_the_enumeration_property(u, v, w, face, phi):
+    c1 = u * QUARTER
+    c2 = v * c1
+    _assert_matches_the_enumeration(face(c1, c2, w * c2), phi)
 
 
 def test_infeasibility_reasons_name_each_failing_branch():
