@@ -185,12 +185,17 @@ def _reduce_with_ops(c):
 
 
 def _snap_to_chamber(cand) -> CanonicalCoords:
-    """Clamp sub-1e-12 predicate overshoot so the ordering chain is strict."""
+    """Clamp sub-1e-12 predicate overshoot so the ordering chain is strict,
+    and round a negative c3 through pi/2 as step 1 does, so it refolds to itself."""
     c1, c2, c3 = cand
     c1 = min(c1, QUARTER)
     c2 = min(c2, c1)
     if abs(c3) > c2:
         c3 = np.sign(c3) * c2
+    if c3 < 0:
+        c3 = (c3 + HALF) - HALF
+        c2 = max(c2, -c3)
+        c1 = max(c1, c2)
     # adding 0.0 turns -0.0 into +0.0
     return CanonicalCoords(float(c1) + 0.0, float(c2) + 0.0, float(c3) + 0.0)
 
@@ -317,8 +322,12 @@ def extract_coordinates(g, tol: Tolerances = DEFAULT_TOLERANCES) -> CanonicalCoo
     cross-checked against the gate's local invariants, read off the same
     Gram matrix (det = 1 after normalization).
     """
-    gate = su4_normalize(g, tol=tol)
-    m = m_matrix(gate)
+    return _read_class(g, tol)[1]
+
+
+def _read_class(g, tol: Tolerances):
+    """(invariants, coordinates) of g off one Gram matrix; see extract_coordinates."""
+    m = m_matrix(su4_normalize(g, tol=tol))
     target = _gram_invariants(m, 1.0, tol)
     l1, l2, _, l4 = -np.angle(np.linalg.eigvals(m)) / 2.0
     rep = reduce_to_weyl(((l1 + l4) / 2, (l2 + l4) / 2, (l1 + l2) / 2))
@@ -327,7 +336,7 @@ def extract_coordinates(g, tol: Tolerances = DEFAULT_TOLERANCES) -> CanonicalCoo
         raise ConsistencyError(
             f"coordinates {tuple(rep)} do not reproduce the gate invariants"
         )
-    return rep
+    return target, rep
 
 
 def kak_decompose(g, tol: Tolerances = DEFAULT_TOLERANCES) -> KakFactors:

@@ -13,8 +13,10 @@ sqrtswap, b, identity) or a path to a JSON file of the form
     {"name": "...", "matrix": [[[re, im], ...], ...]}
 
 with a row-major 4x4 matrix over |00>, |01>, |10>, |11>; qubit 0 is the
-first tensor factor.  Exit codes: 0 success, 1 infeasible synthesis,
-2 invalid input.  The environment variable WEYLFORGE_SEED supplies the
+first tensor factor.  synthesize --phi auto is pi/8, the B gate, which
+reaches every class; only an explicit phi can be infeasible (exit 1,
+phi feasibility profile on stderr).  Exit codes: 0 success, 1
+infeasible synthesis, 2 invalid input.  WEYLFORGE_SEED supplies the
 default Monte Carlo seed; --seed overrides it.  Only analyze
 --mc-samples reads the seed, and exits 2 unless it is in [0, 2**63).
 """
@@ -173,54 +175,34 @@ def _cmd_analyze(args) -> int:
 # -------------------------------------------------------------- synthesize
 
 
-def _pick_phi(target, grid_size: int = 31):
-    """The feasible grid phi closest to pi/8, plus the closed-form profile."""
-    profile = feasible_phi_profile(target, grid_size)
-    feasible = [phi for phi, ok in profile if ok]
-    if not feasible:
-        return None, profile
-    return min(feasible, key=lambda phi: (abs(phi - PI_8), phi)), profile
-
-
-def _print_profile(profile, target):
-    """The profile on stderr; each infeasible phi names its failed conditions."""
-    print("phi feasibility profile:", file=sys.stderr)
-    for phi, ok in profile:
-        if ok:
-            print(f"  phi={_fmt(phi)}  feasible", file=sys.stderr)
-        else:
-            why = "; ".join(infeasibility_reasons(target, phi))
-            print(f"  phi={_fmt(phi)}  infeasible  {why}", file=sys.stderr)
-
-
 def _cmd_synthesize(args) -> int:
     if (args.gate is None) == (args.coords is None):
         raise _CliError(2, "give exactly one target: a gate file/name or --coords")
     if args.gate is not None:
-        _, gate = _load_gate(args.gate, Tolerances(unitarity=args.tolerance))
-        target = gate
-        chamber = extract_coordinates(gate)
+        _, target = _load_gate(args.gate, Tolerances(unitarity=args.tolerance))
+        chamber = extract_coordinates(target)
     else:
-        chamber = _parse_coords(args.coords)
-        target = chamber
+        target = chamber = _parse_coords(args.coords)
 
     if args.phi == "auto":
-        phi, profile = _pick_phi(chamber)
-        if phi is None:
-            _print_profile(profile, chamber)
-            print("synthesis infeasible at every grid phi", file=sys.stderr)
-            return 1
+        phi = PI_8
     else:
         try:
             phi = float(args.phi)
         except ValueError:
             raise _CliError(2, f"--phi wants a number or 'auto', got {args.phi!r}")
 
-    # synthesize returns only circuits that passed verify_equivalence
+    # synthesize returns only circuits whose class it has verified
     try:
         circuit = synthesize(target, phi)
     except InfeasibleSynthesisError as exc:
-        _print_profile(feasible_phi_profile(chamber, 31), chamber)
+        print("phi feasibility profile:", file=sys.stderr)
+        for grid_phi, ok in feasible_phi_profile(chamber, 31):
+            if ok:
+                print(f"  phi={_fmt(grid_phi)}  feasible", file=sys.stderr)
+            else:
+                why = "; ".join(infeasibility_reasons(chamber, grid_phi))
+                print(f"  phi={_fmt(grid_phi)}  infeasible  {why}", file=sys.stderr)
         print(exc, file=sys.stderr)
         print("pick a feasible phi from the profile (pi/8 always works)", file=sys.stderr)
         return 1
@@ -458,8 +440,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--coords", default=None, metavar="C1,C2,C3",
                     help="target class coordinates instead of a gate")
     ps.add_argument("--phi", default="auto", metavar="PHI|auto",
-                    help="family parameter; 'auto' picks the feasible grid "
-                         "value closest to pi/8")
+                    help="family parameter; 'auto' means pi/8, the B gate, "
+                         "which reaches every class")
     ps.add_argument("--out", default=None, metavar="PATH",
                     help="write the circuit JSON here")
     ps.add_argument("--tolerance", type=float, default=1e-9, metavar="T")

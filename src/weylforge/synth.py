@@ -20,12 +20,12 @@ of v^2 - 2(1 - AB)v + (1 - A^2)(1 - B^2) = 0, with
 
 A branch is feasible when cos 2b lands in [-1, 1] and cos^2 2a in
 [0, 1]; not every phi admits a feasible branch for every target, but
-phi = pi/8 (the B gate) always does.  phi = 0 and phi = pi/4 are never
-admissible for generic targets.  These conditions decide feasibility in
-closed form: feasible_phi_profile evaluates them over a phi grid
-without synthesizing, and infeasibility_reasons (and the message of
-InfeasibleSynthesisError) names the condition each branch violates and
-by how much.
+phi = pi/8 (the B gate) always does, so `--phi auto` means pi/8.
+phi = 0 and phi = pi/4 are never admissible for generic targets.  These
+conditions decide feasibility in closed form: feasible_phi_profile
+evaluates them over a phi grid without synthesizing, and
+infeasibility_reasons (and the message of InfeasibleSynthesisError)
+names the condition each branch violates and by how much.
 
 Inverse cosines give a0 in [0, pi/4] and b0 in [0, pi/2].  The signed
 matching equation cos 2a sin 2b sin 4phi = sin 2c2 sin 2c3 then fixes
@@ -43,20 +43,20 @@ from .linalg import (
     ConsistencyError,
     GateMatrix,
     Tolerances,
+    _trusted_gate,
     as_gate,
     kron2,
     rot_y,
     rot_z,
 )
-from .invariants import invariants_from_coords, local_invariants
+from .invariants import invariants_from_coords
 from .canonical import (
     _SAME_CLASS_TOL,
     QUARTER,
     CanonicalCoords,
     _chamber_locals,
     _class_match,
-    canonical_gate,
-    extract_coordinates,
+    _read_class,
     kak_decompose,
     reduce_to_weyl,
 )
@@ -151,8 +151,8 @@ class Circuit:
         return sum(1 for layer in self.layers if isinstance(layer, NonlocalLayer))
 
 
-def circuit_matrix(c: Circuit, tol: Tolerances = DEFAULT_TOLERANCES) -> GateMatrix:
-    """Multiply out a circuit, including its global phase."""
+def _product(c: Circuit) -> np.ndarray:
+    """The layers multiplied out, times the global phase; unchecked."""
     total = np.eye(4, dtype=complex)
     for layer in c.layers:
         if isinstance(layer, NonlocalLayer):
@@ -162,7 +162,13 @@ def circuit_matrix(c: Circuit, tol: Tolerances = DEFAULT_TOLERANCES) -> GateMatr
         else:
             raise TypeError(f"unknown layer type {type(layer).__name__}")
         total = m @ total
-    return GateMatrix(np.exp(1j * c.global_phase) * total, tol=tol)
+    return np.exp(1j * c.global_phase) * total
+
+
+def circuit_matrix(c: Circuit, tol: Tolerances = DEFAULT_TOLERANCES) -> GateMatrix:
+    """Multiply out a circuit, including its global phase; checked as a
+    raw gate is, since circuit_from_dict reads layers from outside."""
+    return GateMatrix(_product(c), tol=tol)
 
 
 def b_gate_params(c2: float, c3: float):
@@ -313,9 +319,9 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
     local layers and a global phase so the assembled circuit reproduces
     the matrix itself within 1e-7.
 
-    Each solution from spe_params is certified by verify_equivalence,
-    sols1 first; the first that verifies wins.  If none verifies the
-    infeasibility is reported together with everything that was tried.
+    Each solution from spe_params, sols1 first, is certified by the class
+    test of verify_equivalence on its unchecked product (the layers are
+    unitary by construction); the first that verifies wins.
     """
     shape = np.shape(target)
     if shape == (4, 4):
@@ -333,7 +339,8 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
     candidates = spe_params(p, chamber)
     for sol in candidates:
         core = _core_circuit(chamber, sol)
-        if verify_equivalence(core, chamber, tol=tol):
+        core_gate = _trusted_gate(_product(core), 0.0)
+        if _in_class(core_gate, chamber, tol):
             break
     else:
         reasons = infeasibility_reasons(chamber, p)
@@ -351,7 +358,7 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
     # own decomposition M = e^{ib}(p1 (x) q1) G(core) (p2 (x) q2) and the
     # target's g = e^{ig}(a1 (x) b1) G(core) (a2 (x) b2),
     #   g = e^{i(g-b)} (a1 p1+ (x) b1 q1+) M (p2+ a2 (x) q2+ b2)
-    inner = kak_decompose(circuit_matrix(core, tol=tol), tol=tol)
+    inner = kak_decompose(core_gate, tol=tol)
     p1, q1, p2, q2, beta = inner.a1, inner.b1, inner.a2, inner.b2, inner.global_phase
     if _class_match(inner.core, factors.core, _SAME_CLASS_TOL) == "mirror":
         # inner.core is named from the other side of the face c1 = pi/4:
@@ -366,7 +373,7 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
         layers=(lead, *core.layers, trail),
         global_phase=float(factors.global_phase - beta),
     )
-    residual = np.abs(circuit_matrix(full, tol=tol).matrix - gate.matrix).max()
+    residual = np.abs(_product(full) - gate.matrix).max()
     if residual > 1e-7:
         raise ConsistencyError(
             f"dressed circuit misses the target matrix by {residual:.3e}"
@@ -382,13 +389,15 @@ def verify_equivalence(c: Circuit, target, tol: Tolerances = DEFAULT_TOLERANCES)
     face c1 = pi/4, where (pi/4, c2, c3) and (pi/4, c2, -c3) name one
     class (Zhang et al., PRA 67, 042313 (2003)).
     """
-    chamber = reduce_to_weyl(CanonicalCoords(*(float(v) for v in target)))
-    m = circuit_matrix(c, tol=tol)
-    got = local_invariants(m, tol=tol)
+    return _in_class(circuit_matrix(c, tol=tol), reduce_to_weyl(target), tol)
+
+
+def _in_class(gate: GateMatrix, chamber: CanonicalCoords, tol: Tolerances) -> bool:
+    """verify_equivalence's test, for a chamber point that is already folded."""
+    got, coords = _read_class(gate, tol)
     want = invariants_from_coords(chamber)
     if abs(got.g1 - want.g1) > 1e-8 or abs(got.g2 - want.g2) > 1e-8:
         return False
-    coords = extract_coordinates(m, tol=tol)
     return _class_match(coords, chamber, _SAME_CLASS_TOL) is not None
 
 

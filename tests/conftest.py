@@ -1,4 +1,5 @@
-"""Shared helpers: Haar sampling, chamber points, gate dressing.
+"""Shared helpers: Haar sampling, chamber points (faces and edges too),
+gate dressing.
 
 Every test seeds its own ``np.random.default_rng`` so the suite is
 deterministic end to end.  The acceptance module records one line per
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 from weylforge import CanonicalCoords, canonical_gate, kron2
+
+QUARTER = np.pi / 4
 
 _ACCEPTANCE_LINES = []
 
@@ -49,6 +52,42 @@ def mirror_face_targets(seed: int = 62, count: int = 60) -> list:
         if c3 != 0.0:
             targets.append(CanonicalCoords(np.pi / 4, c2, c3))
     return targets
+
+
+def boundary_classes(rng, per_kind):
+    """Seeded points of every chamber face and edge, plus its corners.
+
+    Faces c1 = pi/4, c1 = c2, c2 = |c3| (both signs) and the plane
+    c3 = 0; edges O-A1 (c2 = c3 = 0), O-A3 (c1 = c2 = |c3|), A1-A3
+    (c1 = pi/4, c2 = |c3|), A3-A3' (c1 = c2 = pi/4) and the SPE segment
+    (pi/4, phi, 0); corners SWAP, identity, CNOT, DCNOT.
+    """
+    points = [
+        (QUARTER, QUARTER, QUARTER),
+        (0.0, 0.0, 0.0),
+        (QUARTER, 0.0, 0.0),
+        (QUARTER, QUARTER, 0.0),
+    ]
+    for _ in range(per_kind):
+        c1 = rng.uniform(0.0, QUARTER)
+        c2 = rng.uniform(0.0, c1)
+        t = rng.uniform(0.0, QUARTER)
+        u = rng.uniform(-t, t)
+        points += [
+            (QUARTER, t, u),
+            (c1, c1, rng.uniform(-c1, c1)),
+            (c1, c2, c2),
+            (c1, c2, -c2),
+            (c1, c2, 0.0),
+            (c1, 0.0, 0.0),
+            (c1, c1, c1),
+            (c1, c1, -c1),
+            (QUARTER, t, t),
+            (QUARTER, t, -t),
+            (QUARTER, QUARTER, u),
+            (QUARTER, t, 0.0),
+        ]
+    return points
 
 
 def dressed(coords, rng) -> np.ndarray:

@@ -2,6 +2,7 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import weylforge.canonical as canonical
 from weylforge import (
@@ -175,6 +176,57 @@ def test_reduce_matches_brute_force_reference():
         got = reduce_to_weyl(c)
         want = _brute_force_reduce(c)
         assert np.abs(np.subtract(got, want)).max() < 1e-12, (c, got, want)
+
+
+# chamber faces and edges through a chamber point (c1, c2, c3)
+_FACES_AND_EDGES = (
+    lambda c1, c2, c3: (c1, c2, c3),
+    lambda c1, c2, c3: (QUARTER, c2, c3),
+    lambda c1, c2, c3: (c1, c1, c3),
+    lambda c1, c2, c3: (c1, c2, c2),
+    lambda c1, c2, c3: (c1, c2, -c2),
+    lambda c1, c2, c3: (c1, c2, 0.0),
+    lambda c1, c2, c3: (c1, 0.0, 0.0),
+    lambda c1, c2, c3: (c1, c1, c1),
+    lambda c1, c2, c3: (c1, c1, -c1),
+    lambda c1, c2, c3: (QUARTER, c2, c2),
+    lambda c1, c2, c3: (QUARTER, c2, -c2),
+    lambda c1, c2, c3: (QUARTER, QUARTER, c3),
+    lambda c1, c2, c3: (QUARTER, c2, 0.0),
+)
+
+
+def _assert_fold_is_bit_idempotent(c):
+    once = reduce_to_weyl(c)
+    twice = reduce_to_weyl(once)
+    assert [v.hex() for v in twice] == [v.hex() for v in once], (c, once, twice)
+
+
+def test_fold_is_bit_idempotent_where_a_negative_c3_used_to_round():
+    _assert_fold_is_bit_idempotent(
+        (0.3643337675334865, 0.3247516106443723, -0.3247516106443723)
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.sampled_from(_FACES_AND_EDGES),
+    st.sampled_from(list(permutations(range(3)))),
+    st.sampled_from(_SIGN_PATTERNS),
+    st.integers(-2, 2),
+)
+def test_fold_is_bit_idempotent_on_faces_and_edges(u, v, w, face, perm, pat, k):
+    # the face point itself, and an image of it under the folding group
+    c1 = u * QUARTER
+    c2 = v * c1
+    point = np.array(face(c1, c2, w * c2))
+    image = np.array(pat) * point[list(perm)]
+    image[0] += k * np.pi / 2
+    _assert_fold_is_bit_idempotent(point)
+    _assert_fold_is_bit_idempotent(image)
 
 
 def test_chamber_locals_replay_the_fold():

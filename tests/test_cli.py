@@ -9,6 +9,8 @@ from weylforge.cli import main
 from weylforge.synth import _mat_to_lists
 from weylforge.gates import NAMED_GATES
 
+from conftest import boundary_classes
+
 QUARTER = np.pi / 4
 
 
@@ -212,6 +214,20 @@ def test_synthesize_auto_picks_the_b_class_for_swap(capsys):
     assert abs(json.loads(out)["phi"] - np.pi / 8) < 1e-15
 
 
+def test_synthesize_auto_is_the_b_gate_on_faces_edges_and_corners(capsys):
+    # boundary_classes starts with SWAP, which only pi/8 reaches
+    for c in boundary_classes(np.random.default_rng(103), 2):
+        coords = ",".join(repr(float(v)) for v in c)
+        code, out, err = run(
+            capsys, "synthesize", "--coords", coords, "--phi", "auto", "--json"
+        )
+        assert code == 0, (c, err)
+        payload = json.loads(out)
+        assert payload["phi"] == np.pi / 8, c
+        assert payload["verified"] is True, c
+        assert verify_equivalence(circuit_from_dict(payload["circuit"]), c), c
+
+
 def test_synthesize_infeasible_phi_exits_one(capsys):
     code, _, err = run(capsys, "synthesize", "swap", "--phi", "0.05")
     assert code == 1
@@ -232,10 +248,12 @@ def test_synthesize_infeasible_phi_names_the_violated_condition(capsys):
 
 
 def test_synthesize_auto_synthesizes_once(capsys, monkeypatch):
+    # auto goes straight to pi/8: one synthesis, one set of middle-layer
+    # solutions, and no feasibility profile on the success path
     import weylforge.cli as cli
     import weylforge.synth as synth
 
-    calls = {"synthesize": 0, "verify_equivalence": 0}
+    calls = {"synthesize": 0, "spe_params": 0, "feasible_phi_profile": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -244,18 +262,17 @@ def test_synthesize_auto_synthesizes_once(capsys, monkeypatch):
 
         return wrapper
 
-    once = counting("synthesize", synth.synthesize)
-    monkeypatch.setattr(cli, "synthesize", once)
-    monkeypatch.setattr(synth, "synthesize", once)
-    monkeypatch.setattr(
-        synth, "verify_equivalence", counting("verify_equivalence", synth.verify_equivalence)
-    )
+    for name in calls:
+        wrapped = counting(name, getattr(synth, name))
+        monkeypatch.setattr(synth, name, wrapped)
+        if hasattr(cli, name):
+            monkeypatch.setattr(cli, name, wrapped)
     code, out, _ = run(
         capsys, "synthesize", "--coords", "0.7,0.3,0.1", "--phi", "auto", "--json"
     )
     assert code == 0
     assert json.loads(out)["verified"] is True
-    assert calls == {"synthesize": 1, "verify_equivalence": 1}
+    assert calls == {"synthesize": 1, "spe_params": 1, "feasible_phi_profile": 0}
 
 
 def test_synthesize_rejects_phi_endpoint(capsys):

@@ -34,7 +34,7 @@ from weylforge.linalg import rot_x, rot_y
 from weylforge.gates import NAMED_GATES
 from weylforge.synth import SynthesisSolution, _branch_roots, _core_circuit
 
-from conftest import chamber_point, dressed, mirror_face_targets
+from conftest import boundary_classes, chamber_point, dressed, mirror_face_targets
 
 QUARTER = np.pi / 4
 EIGHTH = np.pi / 8
@@ -90,7 +90,7 @@ def test_solutions_satisfy_the_signed_matching_equation():
     # cos 2a sin 2b sin 4phi = sin 2c2 sin 2c3, sign included: the
     # quadrant of (a, b) is fixed by it, not searched
     rng = np.random.default_rng(99)
-    classes = [chamber_point(rng) for _ in range(20)] + _boundary_classes(rng, 2)
+    classes = [chamber_point(rng) for _ in range(20)] + boundary_classes(rng, 2)
     for phi in (EIGHTH, 0.3, 0.5):
         for target in classes:
             c = reduce_to_weyl(target)
@@ -258,31 +258,25 @@ def test_classes_whose_gram_pairs_merge_under_several_weights(coords):
 
 def test_trusted_gates_are_checked_once(monkeypatch):
     # a GateMatrix is validated where it is built from a raw array; the
-    # only later checks are those of circuit_matrix, a boundary for
-    # circuits read from JSON
-    import weylforge.synth as synth
-
-    counts = {"validations": 0, "circuit_matrix": 0}
+    # circuits synthesize builds are unitary by construction and are not
+    # checked again, while circuit_matrix stays a boundary for circuits
+    # read from JSON
+    counts = {"validations": 0}
     validate = GateMatrix.__init__
-    circuit = synth.circuit_matrix
 
     def counting_validate(self, *args, **kwargs):
         counts["validations"] += 1
         validate(self, *args, **kwargs)
 
-    def counting_circuit(*args, **kwargs):
-        counts["circuit_matrix"] += 1
-        return circuit(*args, **kwargs)
-
     monkeypatch.setattr(GateMatrix, "__init__", counting_validate)
-    monkeypatch.setattr(synth, "circuit_matrix", counting_circuit)
     rng = np.random.default_rng(95)
     g = GateMatrix(dressed(chamber_point(rng), rng))
     extract_coordinates(g)
-    assert counts == {"validations": 1, "circuit_matrix": 0}
-    synthesize(g, EIGHTH)
-    assert counts["circuit_matrix"] > 0
-    assert counts["validations"] == 1 + counts["circuit_matrix"]
+    assert counts["validations"] == 1
+    circ = synthesize(g, EIGHTH)
+    assert counts["validations"] == 1
+    circuit_matrix(circ)
+    assert counts["validations"] == 2
 
 
 def test_swap_is_out_of_reach_away_from_the_b_class():
@@ -329,42 +323,6 @@ def _scanned_phi_profile(target, grid_size):
     return profile
 
 
-def _boundary_classes(rng, per_kind):
-    """Seeded points of every chamber face and edge, plus its corners.
-
-    Faces c1 = pi/4, c1 = c2, c2 = |c3| (both signs) and the plane
-    c3 = 0; edges O-A1 (c2 = c3 = 0), O-A3 (c1 = c2 = |c3|), A1-A3
-    (c1 = pi/4, c2 = |c3|), A3-A3' (c1 = c2 = pi/4) and the SPE segment
-    (pi/4, phi, 0); corners SWAP, identity, CNOT, DCNOT.
-    """
-    points = [
-        (QUARTER, QUARTER, QUARTER),
-        (0.0, 0.0, 0.0),
-        (QUARTER, 0.0, 0.0),
-        (QUARTER, QUARTER, 0.0),
-    ]
-    for _ in range(per_kind):
-        c1 = rng.uniform(0.0, QUARTER)
-        c2 = rng.uniform(0.0, c1)
-        t = rng.uniform(0.0, QUARTER)
-        u = rng.uniform(-t, t)
-        points += [
-            (QUARTER, t, u),
-            (c1, c1, rng.uniform(-c1, c1)),
-            (c1, c2, c2),
-            (c1, c2, -c2),
-            (c1, c2, 0.0),
-            (c1, 0.0, 0.0),
-            (c1, c1, c1),
-            (c1, c1, -c1),
-            (QUARTER, t, t),
-            (QUARTER, t, -t),
-            (QUARTER, QUARTER, u),
-            (QUARTER, t, 0.0),
-        ]
-    return points
-
-
 def test_feasible_phi_profile_matches_the_synthesis_scan_on_random_classes():
     rng = np.random.default_rng(96)
     for _ in range(30):
@@ -374,7 +332,7 @@ def test_feasible_phi_profile_matches_the_synthesis_scan_on_random_classes():
 
 def test_feasible_phi_profile_matches_the_synthesis_scan_on_faces_and_edges():
     rng = np.random.default_rng(97)
-    for c in _boundary_classes(rng, 4):
+    for c in boundary_classes(rng, 4):
         assert feasible_phi_profile(c, 31) == _scanned_phi_profile(c, 31), c
 
 
@@ -413,10 +371,7 @@ def _enumerated_choice(target, phi):
     """
     chamber = reduce_to_weyl(target)
     want = invariants_from_coords(chamber)
-    # spe_params folds the chamber point it is given once more, which
-    # can move a negative c3 by an ulp; the roots come from that point
-    c = reduce_to_weyl(chamber)
-    for branch, a0, b0 in _branch_roots(phi, c.c2, c.c3)[0]:
+    for branch, a0, b0 in _branch_roots(phi, chamber.c2, chamber.c3)[0]:
         for a in (a0, -a0, np.pi / 2 - a0, a0 - np.pi / 2):
             for b in (b0, -b0):
                 sol = SynthesisSolution(phi=phi, a=float(a), b=float(b), branch=branch)
@@ -463,7 +418,7 @@ def test_synthesis_matches_the_enumeration_on_random_classes():
 
 def test_synthesis_matches_the_enumeration_on_faces_and_edges():
     rng = np.random.default_rng(102)
-    for c in _boundary_classes(rng, 4):
+    for c in boundary_classes(rng, 4):
         for phi in _grid():
             _assert_matches_the_enumeration(c, phi)
 
@@ -545,6 +500,17 @@ def test_circuit_global_phase_enters_the_matrix():
     layer = LocalLayer(np.eye(2), np.eye(2))
     total = circuit_matrix(Circuit(layers=(layer,), global_phase=0.9)).matrix
     assert np.abs(total - np.exp(0.9j) * np.eye(4)).max() < 1e-14
+
+
+def test_circuit_matrix_rejects_a_non_unitary_circuit_read_from_json():
+    rng = np.random.default_rng(104)
+    g = dressed(chamber_point(rng), rng)
+    data = json.loads(json.dumps(circuit_to_dict(synthesize(g, EIGHTH))))
+    circuit_matrix(circuit_from_dict(data))
+    lead = data["layers"][0]
+    lead["top"] = (1.01 * np.asarray(lead["top"])).tolist()
+    with pytest.raises(ValueError, match="not unitary"):
+        circuit_matrix(circuit_from_dict(data))
 
 
 def test_local_layer_matrices_are_read_only():
