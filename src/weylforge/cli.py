@@ -22,15 +22,16 @@ default Monte Carlo seed; --seed overrides it.  Only analyze
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 import numpy as np
 
-from .linalg import Tolerances, GateMatrix, kron2, rot_y, rot_z
-from .invariants import local_invariants, is_perfect_entangler
-from .canonical import QUARTER, CanonicalCoords, extract_coordinates
+from .linalg import DEFAULT_TOLERANCES, Tolerances, GateMatrix, kron2, rot_y, rot_z
+from .invariants import _pe_point
+from .canonical import QUARTER, CanonicalCoords, _read_class, extract_coordinates
 from .entangle import entangling_power_closed, entangling_power_mc
 from .spe import is_spe
 from .synth import (
@@ -111,9 +112,8 @@ def _parse_coords(text: str) -> CanonicalCoords:
 
 def _analysis_report(gate, name, args, tol: Tolerances) -> dict:
     """The analyze report; every step runs at the tolerances the gate
-    was loaded with."""
-    coords = extract_coordinates(gate, tol=tol)
-    inv = local_invariants(gate, tol=tol)
+    was loaded with, and every flag is read off one chamber point."""
+    inv, coords = _read_class(gate, tol)
     ep = entangling_power_closed(coords)
     spe = is_spe(coords)
     report = {
@@ -124,8 +124,8 @@ def _analysis_report(gate, name, args, tol: Tolerances) -> dict:
         "g1": [inv.g1.real + 0.0, inv.g1.imag + 0.0],
         "g2": inv.g2 + 0.0,
         "entangling_power": float(ep),
-        "perfect_entangler": bool(is_perfect_entangler(gate, tol=tol)),
-        "spe": bool(spe),
+        "perfect_entangler": _pe_point(coords),
+        "spe": spe,
         "spe_phi": float(coords.c2) if spe else None,
     }
     if args.mc_samples is not None:
@@ -276,8 +276,7 @@ def _table_rows():
     ]
     rows = []
     for label, matrix in entries:
-        coords = extract_coordinates(matrix)
-        inv = local_invariants(matrix)
+        inv, coords = _read_class(matrix, DEFAULT_TOLERANCES)
         rows.append(
             {
                 "operator": label,
@@ -417,6 +416,9 @@ def _cmd_chamber(args) -> int:
 # ------------------------------------------------------------------- main
 
 
+# one parser per process: building it costs more than an in-process
+# command such as synthesize --coords ... --phi auto
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylforge",

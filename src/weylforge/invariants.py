@@ -5,13 +5,18 @@ share the pair of invariants (g1, g2) computed here.  Both are read off
 the symmetric matrix m = (Q+ U Q)^T (Q+ U Q), where Q changes basis to
 the magic (Bell-phase) frame: in that frame local gates become real
 orthogonal matrices, so the spectrum of m is blind to them.
+
+A gate is a perfect entangler when its chamber point lies in the
+polyhedron c1 + c2 >= pi/4, c2 + |c3| <= pi/4, decided within a slack
+of 1e-12 radians (``_CHAMBER_SLACK``) on the coordinates that
+canonical.extract_coordinates reads off one Gram matrix.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import Tolerances, DEFAULT_TOLERANCES, as_gate, su4_normalize
+from .linalg import Tolerances, DEFAULT_TOLERANCES, as_gate
 
 __all__ = [
     "MAGIC_FRAME",
@@ -96,48 +101,34 @@ def invariants_from_coords(coords) -> LocalInvariants:
     return LocalInvariants(complex(g1), float(g2))
 
 
-def _hull_contains_origin(points: np.ndarray, tol: float) -> bool:
-    """Does the convex hull of <= 4 points on the unit circle contain 0?"""
-    # dedupe: coincident eigenvalues collapse to one hull vertex
-    uniq: list[complex] = []
-    for p in points:
-        if all(abs(p - q) > 1e-9 for q in uniq):
-            uniq.append(p)
-    if len(uniq) == 1:
-        return abs(uniq[0]) <= tol
-    if len(uniq) == 2:
-        # distance from the origin to the segment p-q
-        p, q = uniq
-        d = q - p
-        t = np.clip(-(p.conjugate() * d).real / abs(d) ** 2, 0.0, 1.0)
-        return abs(p + t * d) <= tol
-    # 3 or 4 points on the unit circle are automatically in convex
-    # position; sorting by angle walks the hull boundary
-    uniq.sort(key=lambda z: np.arctan2(z.imag, z.real))
-    area = sum(
-        (uniq[i].real * uniq[(i + 1) % len(uniq)].imag
-         - uniq[(i + 1) % len(uniq)].real * uniq[i].imag)
-        for i in range(len(uniq))
+# slack of the chamber-point decisions, radians: the fold snaps overshoot
+# below 1e-12, and extracted named classes sit within 1e-15 of their planes
+_CHAMBER_SLACK = 1e-12
+
+
+def _pe_point(c) -> bool:
+    """Is the chamber point c in the perfect-entangler polyhedron?"""
+    c1, c2, c3 = c
+    quarter = np.pi / 4
+    return (
+        c1 + c2 >= quarter - _CHAMBER_SLACK
+        and c2 + abs(c3) <= quarter + _CHAMBER_SLACK
     )
-    if area < 0:
-        uniq.reverse()
-    for i in range(len(uniq)):
-        p, q = uniq[i], uniq[(i + 1) % len(uniq)]
-        d = q - p
-        # signed distance of the origin left of edge p->q
-        cross = p.real * d.imag - p.imag * d.real
-        if cross / abs(d) < -tol:
-            return False
-    return True
 
 
 def is_perfect_entangler(g, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """True when g can turn some product state into a maximally
     entangled one.
 
-    Criterion: after normalizing to unit determinant, the convex hull of
-    the four (unit-modulus) eigenvalues of m must contain the origin.
+    Criterion: the chamber point c of g lies in the polyhedron
+
+        c1 + c2 >= pi/4,  c2 + |c3| <= pi/4
+
+    (Zhang et al., PRA 67, 042313 (2003)), within 1e-12 radians.  That
+    is the condition that the convex hull of the eigenvalues of m holds
+    the origin, read on the coordinates rather than the spectrum.
     """
-    gate = su4_normalize(g, tol=tol)
-    eig = np.linalg.eigvals(m_matrix(gate))
-    return _hull_contains_origin(eig, tol=1e-9)
+    # canonical imports this module, so import it at call time
+    from .canonical import extract_coordinates
+
+    return _pe_point(extract_coordinates(g, tol))

@@ -9,9 +9,9 @@ classes (pi/4, phi, 0), 0 <= phi <= pi/4, realized here by the gate
 
 whose endpoints are the CNOT class (phi = 0) and the DCNOT class
 (phi = pi/4), with the B gate at the midpoint phi = pi/8.  Equivalently,
-the SPEs are exactly the classes with entangling power 2/9, detected by
-
-    cos4c1 cos4c2 + cos4c2 cos4c3 + cos4c3 cos4c1 = -1.
+the SPEs are exactly the classes with entangling power 2/9.  is_spe
+decides membership on the folded chamber point: pi/4 - c1 and |c3| must
+both be within a slack of 1e-12 radians (invariants._CHAMBER_SLACK).
 
 The witness basis construction exhibits, for each class member and each
 angle theta, a concrete product basis whose four images are all
@@ -31,6 +31,7 @@ from .canonical import (
     reduce_to_weyl,
 )
 from .entangle import _image_concurrences, _sample_run, concurrence_pure
+from .invariants import _CHAMBER_SLACK
 
 __all__ = [
     "SpeParams",
@@ -84,15 +85,15 @@ def spe_gate(p) -> GateMatrix:
     return canonical_gate(CanonicalCoords(QUARTER, _phi(p), 0.0))
 
 
-def is_spe(c, tol: float = 1e-9) -> bool:
+def is_spe(c, tol: float = _CHAMBER_SLACK) -> bool:
     """Is the class at coordinates c a special perfect entangler?
 
-    Tests the pairwise-cosine criterion against -1; equivalent to
-    entangling power exactly 2/9, and to the chamber representative
-    lying on the family segment (pi/4, phi, 0).
+    Folds c into the chamber and tests that the point lies on the family
+    segment (pi/4, phi, 0): pi/4 - c1 <= tol and |c3| <= tol, tol in
+    radians.  Equivalent to entangling power exactly 2/9.
     """
-    f1, f2, f3 = (np.cos(4.0 * float(v)) for v in c)
-    return bool(abs(f1 * f2 + f2 * f3 + f3 * f1 + 1.0) <= tol)
+    c1, _, c3 = reduce_to_weyl(c)
+    return QUARTER - c1 <= tol and abs(c3) <= tol
 
 
 def witness_basis(theta: float, p) -> WitnessBasis:

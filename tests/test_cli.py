@@ -1,10 +1,22 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from weylforge import circuit_from_dict, circuit_matrix, verify_equivalence
+import weylforge
+import weylforge.cli as cli
+import weylforge.invariants as invariants
+from weylforge import (
+    circuit_from_dict,
+    circuit_matrix,
+    extract_coordinates,
+    local_invariants,
+    verify_equivalence,
+)
 from weylforge.cli import main
 from weylforge.synth import _mat_to_lists
 from weylforge.gates import NAMED_GATES
@@ -37,6 +49,87 @@ def test_analyze_json_report(capsys):
     assert report["perfect_entangler"] is True
     assert report["spe"] is False
     assert report["spe_phi"] is None
+
+
+def _count_gram_builds(monkeypatch):
+    """Count m_matrix calls through every weylforge module that binds it."""
+    calls = [0]
+    original = invariants.m_matrix
+
+    def counting(g):
+        calls[0] += 1
+        return original(g)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("weylforge") and getattr(mod, "m_matrix", None) is original:
+            monkeypatch.setattr(mod, "m_matrix", counting)
+    return calls
+
+
+# (perfect entangler, special perfect entangler) of the built-in gates
+NAMED_FLAGS = {
+    "identity": (False, False),
+    "cnot": (True, True),
+    "dcnot": (True, True),
+    "b": (True, True),
+    "swap": (False, False),
+    "sqrtswap": (True, False),
+}
+
+
+def test_analyze_reads_each_named_gate_off_one_gram_matrix(capsys, monkeypatch):
+    assert sorted(NAMED_FLAGS) == sorted(NAMED_GATES)
+    expected = {
+        name: (extract_coordinates(m), local_invariants(m))
+        for name, m in NAMED_GATES.items()
+    }
+    calls = _count_gram_builds(monkeypatch)
+    for name, (pe, spe) in NAMED_FLAGS.items():
+        calls[0] = 0
+        code, out, _ = run(capsys, "analyze", name, "--json")
+        assert code == 0
+        assert calls[0] == 1, name
+        report = json.loads(out)
+        coords, inv = expected[name]
+        assert report["coords"] == [float(v) + 0.0 for v in coords], name
+        assert abs(complex(*report["g1"]) - inv.g1) < 1e-12, name
+        assert abs(report["g2"] - inv.g2) < 1e-12, name
+        assert (report["perfect_entangler"], report["spe"]) == (pe, spe), name
+        assert report["spe_phi"] == (report["coords"][1] if spe else None), name
+
+
+def test_table_reads_each_row_off_one_gram_matrix(capsys, monkeypatch):
+    calls = _count_gram_builds(monkeypatch)
+    code, out, _ = run(capsys, "table", "--json")
+    assert code == 0
+    assert calls[0] == len(json.loads(out)["rows"]) == 7
+
+
+def test_parser_is_built_once_per_process(capsys):
+    # each in-process output must match a fresh process's
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(weylforge.__file__))
+    script = "import sys; from weylforge.cli import main; sys.exit(main(sys.argv[1:]))"
+    cli._build_parser.cache_clear()
+    for argv in (["table"], ["analyze", "cnot"], ["analyze", "cnot", "--no-such-flag"]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode,
+            fresh.stdout,
+            fresh.stderr,
+        ), argv
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_analyze_gate_file_and_mc_block(tmp_path, capsys):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from weylforge import canonical_gate, kron2, spectral_phases
-from weylforge.linalg import eig_commuting_symmetric_pair
+from weylforge import canonical_gate, kron2, reduce_to_weyl, spectral_phases
+from weylforge.linalg import eig_commuting_symmetric_pair, su4_normalize
 from weylforge.invariants import (
     MAGIC_FRAME,
     invariants_from_coords,
@@ -13,7 +13,9 @@ from weylforge.invariants import (
 from weylforge.entangle import MAGIC_STATES
 from weylforge.gates import NAMED_GATES
 
-from conftest import chamber_point, dressed, haar_su2
+from conftest import boundary_classes, chamber_point, dressed, haar_su2
+
+QUARTER = np.pi / 4
 
 # invariant pairs for the built-in gates
 KNOWN_INVARIANTS = {
@@ -94,10 +96,112 @@ def test_closed_form_matches_matrix_invariants():
 
 
 def test_perfect_entangler_named_gates():
-    for name in ("cnot", "dcnot", "b", "sqrtswap"):
-        assert is_perfect_entangler(NAMED_GATES[name]), name
-    for name in ("swap", "identity"):
-        assert not is_perfect_entangler(NAMED_GATES[name]), name
+    rng = np.random.default_rng(47)
+    for name, want in (
+        ("cnot", True),
+        ("dcnot", True),
+        ("b", True),
+        ("sqrtswap", True),
+        ("swap", False),
+        ("identity", False),
+    ):
+        g = np.asarray(NAMED_GATES[name])
+        members = [g] + [
+            np.exp(1j * rng.uniform(-np.pi, np.pi))
+            * kron2(haar_su2(rng), haar_su2(rng))
+            @ g
+            @ kron2(haar_su2(rng), haar_su2(rng))
+            for _ in range(20)
+        ]
+        for member in members:
+            assert is_perfect_entangler(member) == want, name
+
+
+def _hull_contains_origin(points: np.ndarray, tol: float) -> bool:
+    """Does the convex hull of <= 4 points on the unit circle contain 0?"""
+    # dedupe: coincident eigenvalues collapse to one hull vertex
+    uniq: list[complex] = []
+    for p in points:
+        if all(abs(p - q) > 1e-9 for q in uniq):
+            uniq.append(p)
+    if len(uniq) == 1:
+        return abs(uniq[0]) <= tol
+    if len(uniq) == 2:
+        # distance from the origin to the segment p-q
+        p, q = uniq
+        d = q - p
+        t = np.clip(-(p.conjugate() * d).real / abs(d) ** 2, 0.0, 1.0)
+        return abs(p + t * d) <= tol
+    # 3 or 4 points on the unit circle are automatically in convex
+    # position; sorting by angle walks the hull boundary
+    uniq.sort(key=lambda z: np.arctan2(z.imag, z.real))
+    area = sum(
+        (uniq[i].real * uniq[(i + 1) % len(uniq)].imag
+         - uniq[(i + 1) % len(uniq)].real * uniq[i].imag)
+        for i in range(len(uniq))
+    )
+    if area < 0:
+        uniq.reverse()
+    for i in range(len(uniq)):
+        p, q = uniq[i], uniq[(i + 1) % len(uniq)]
+        d = q - p
+        # signed distance of the origin left of edge p->q
+        cross = p.real * d.imag - p.imag * d.real
+        if cross / abs(d) < -tol:
+            return False
+    return True
+
+
+def _hull_perfect_entangler(g) -> bool:
+    """The spectral PE test the chamber-point test replaced, kept as the
+    reference: the hull of the eigenvalues of m holds the origin."""
+    return _hull_contains_origin(np.linalg.eigvals(m_matrix(su4_normalize(g))), tol=1e-9)
+
+
+def _pe_plane_distance(c) -> float:
+    c1, c2, c3 = reduce_to_weyl(c)
+    return min(abs(c1 + c2 - QUARTER), abs(c2 + abs(c3) - QUARTER)) / np.sqrt(2)
+
+
+def test_perfect_entangler_matches_the_hull_reference_off_the_planes():
+    # the hull test's 1e-9 slack in eigenvalue units blurs the planes,
+    # so the two agree only away from them, or exactly on them
+    rng = np.random.default_rng(48)
+    classes = [chamber_point(rng) for _ in range(500)] + boundary_classes(rng, 10)
+    compared = 0
+    for c in classes:
+        dist = _pe_plane_distance(c)
+        if 1e-15 < dist < 1e-6:
+            continue
+        g = dressed(c, rng)
+        assert is_perfect_entangler(g) == _hull_perfect_entangler(g), c
+        compared += 1
+    assert compared >= 600
+
+
+def _plane_band(plane: int, side: int, d: float, rng):
+    """A class d off a PE plane, inside the polyhedron for side = +1 and
+    outside for side = -1, and at least 0.05 from the other plane."""
+    if plane == 1:  # c1 + c2 = pi/4
+        c1 = rng.uniform(QUARTER / 2 + 0.05, QUARTER - 0.05)
+        c2 = QUARTER - c1 + side * d
+        return (c1, c2, rng.uniform(-c2, c2) / 2)
+    # c2 + |c3| = pi/4
+    c2 = rng.uniform(QUARTER / 2 + 0.05, QUARTER - 0.05)
+    c3 = rng.choice([-1.0, 1.0]) * (QUARTER - c2 - side * d)
+    return (rng.uniform(c2, QUARTER), c2, c3)
+
+
+@pytest.mark.parametrize("plane", [1, 2])
+@pytest.mark.parametrize("side", [1, -1])
+def test_perfect_entangler_sides_of_each_plane_at_1e_10(plane, side):
+    wrong = []
+    for seed in range(200):
+        rng = np.random.default_rng([49, seed])
+        c = _plane_band(plane, side, 1e-10, rng)
+        if is_perfect_entangler(dressed(c, rng)) != (side > 0):
+            wrong.append(c)
+    assert wrong == []
 
 
 def test_perfect_entangler_rejects_local_gates():

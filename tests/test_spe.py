@@ -8,6 +8,7 @@ from weylforge import (
     extract_coordinates,
     is_spe,
     kron2,
+    reduce_to_weyl,
     separability_preservation_probe,
     spe_gate,
     witness_basis,
@@ -15,7 +16,7 @@ from weylforge import (
 )
 from weylforge.gates import CNOT, NAMED_GATES, SQRT_SWAP, SWAP
 
-from conftest import dressed, haar_state, haar_su2
+from conftest import boundary_classes, chamber_point, dressed, haar_state, haar_su2
 
 QUARTER = np.pi / 4
 
@@ -43,6 +44,49 @@ def test_is_spe_known_classes():
     assert not is_spe((QUARTER, QUARTER, QUARTER))  # swap
     assert not is_spe((np.pi / 8, np.pi / 8, np.pi / 8))
     assert not is_spe((0.0, 0.0, 0.0))
+
+
+def _cosine_spe(c, tol: float = 1e-9) -> bool:
+    """The pairwise-cosine SPE test the segment test replaced, kept as
+    the reference."""
+    f1, f2, f3 = (np.cos(4.0 * float(v)) for v in c)
+    return bool(abs(f1 * f2 + f2 * f3 + f3 * f1 + 1.0) <= tol)
+
+
+def test_is_spe_matches_the_cosine_reference_off_the_segment():
+    # the cosine test is quadratic in the distance to the segment, so
+    # the two agree only away from it, or exactly on it
+    rng = np.random.default_rng(87)
+    classes = [chamber_point(rng) for _ in range(500)] + boundary_classes(rng, 10)
+    compared = 0
+    for c in classes:
+        c1, _, c3 = reduce_to_weyl(c)
+        dist = np.hypot(QUARTER - c1, c3)
+        if 1e-15 < dist < 1e-6:
+            continue
+        coords = extract_coordinates(dressed(c, rng))
+        assert is_spe(coords) == _cosine_spe(coords), c
+        compared += 1
+    assert compared >= 600
+
+
+def _off_segment(along: str, d: float, rng):
+    if along == "c1":
+        c1 = QUARTER - d
+        return (c1, rng.uniform(0.0, c1), 0.0)
+    return (QUARTER, rng.uniform(1e-3, QUARTER), d)
+
+
+@pytest.mark.parametrize("along", ["c1", "c3"])
+@pytest.mark.parametrize("d", [1e-6, 1e-10])
+def test_is_spe_rejects_classes_just_off_the_segment(along, d):
+    flagged = []
+    for seed in range(200):
+        rng = np.random.default_rng([88, seed])
+        c = _off_segment(along, d, rng)
+        if is_spe(extract_coordinates(dressed(c, rng))):
+            flagged.append(c)
+    assert flagged == []
 
 
 def test_witness_basis_is_an_orthonormal_product_basis():
@@ -92,6 +136,15 @@ def test_witness_transport_rejects_non_spe_gates():
     rng = np.random.default_rng(83)
     with pytest.raises(ValueError):
         witness_basis_for_gate(dressed((0.2, 0.1, 0.05), rng), theta=0.5)
+
+
+@pytest.mark.parametrize("along", ["c1", "c3"])
+def test_witness_transport_rejects_gates_1e_6_off_the_segment(along):
+    for seed in range(200):
+        rng = np.random.default_rng([89, seed])
+        g = dressed(_off_segment(along, 1e-6, rng), rng)
+        with pytest.raises(ValueError):
+            witness_basis_for_gate(g, theta=0.5)
 
 
 def test_check_basis_images_rejects_non_orthonormal_rows():
