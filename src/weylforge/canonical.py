@@ -19,6 +19,7 @@ chamber, recovers coordinates from a matrix, and performs the full
 decomposition.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -95,7 +96,7 @@ class KakFactors:
 def _coords(c) -> CanonicalCoords:
     """c as a CanonicalCoords of floats; ValueError unless all are finite."""
     c1, c2, c3 = (float(v) for v in c)
-    if not np.isfinite((c1, c2, c3)).all():
+    if not (math.isfinite(c1) and math.isfinite(c2) and math.isfinite(c3)):
         raise ValueError(f"coordinates must be finite, got {(c1, c2, c3)}")
     return CanonicalCoords(c1, c2, c3)
 
@@ -164,24 +165,26 @@ def _reduce_with_ops(c):
        if c3 < 0 there, flip (c1, c3) and shift c1 by pi/2, which keeps
        c1 at pi/4 and makes c3 positive.
     """
-    c = np.asarray(c, dtype=float)
-    # np.mod rather than a rounded quotient: -5.6e-17 maps to pi/2 and
-    # then to an exact 0, not to a tiny negative coordinate
-    vals = np.mod(c, HALF)
-    vals = np.where(vals > QUARTER, vals - HALF, vals)
-    K = np.round((vals - c) / HALF).astype(int)
-    perm = [int(i) for i in np.argsort(-np.abs(vals), kind="stable")]
-    pat = np.ones(3, dtype=int)
+    c = [float(v) for v in c]
+    # Python's float % is floor-mod (fmod with the sign of the divisor),
+    # not a rounded quotient: -5.6e-17 maps to pi/2 and then to an exact
+    # 0, not to a tiny negative coordinate
+    vals = [v % HALF for v in c]
+    vals = [v - HALF if v > QUARTER else v for v in vals]
+    K = [round((v - x) / HALF) for v, x in zip(vals, c)]
+    perm = sorted(range(3), key=lambda i: -abs(vals[i]))
+    pat = [1, 1, 1]
     for t in (0, 1):
         if vals[perm[t]] < 0:
-            pat[[perm[t], perm[2]]] *= -1
-    rep = (pat * vals)[perm]
+            pat[perm[t]] *= -1
+            pat[perm[2]] *= -1
+    rep = [pat[i] * vals[i] for i in perm]
     if rep[0] >= QUARTER - 1e-12 and rep[2] < 0:
-        pat[[perm[0], perm[2]]] *= -1
+        pat[perm[0]] *= -1
+        pat[perm[2]] *= -1
         K[perm[0]] += pat[perm[0]]
-        rep = np.array([HALF - rep[0], rep[1], -rep[2]])
-    ops = (tuple(int(k) for k in K), tuple(int(s) for s in pat), tuple(perm))
-    return tuple(float(v) for v in rep), ops
+        rep = [HALF - rep[0], rep[1], -rep[2]]
+    return tuple(rep), (tuple(K), tuple(pat), tuple(perm))
 
 
 def _snap_to_chamber(cand) -> CanonicalCoords:

@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from .linalg import DEFAULT_TOLERANCES, Tolerances, GateMatrix, kron2, rot_y, rot_z
-from .invariants import _pe_point
+from .invariants import _CHAMBER_SLACK, is_perfect_entangler
 from .canonical import QUARTER, CanonicalCoords, _read_class, extract_coordinates
 from .entangle import entangling_power_closed, entangling_power_mc
 from .spe import is_spe
@@ -62,8 +62,11 @@ class _CliError(Exception):
 
 
 def _fmt(x: float) -> str:
+    """x to 12 significant digits; below the chamber slack it is rounding
+    noise and prints as 0."""
+    x = float(x)
     # the + 0.0 turns -0.0 into +0.0
-    return "%.12g" % (float(x) + 0.0)
+    return "%.12g" % (0.0 if abs(x) < _CHAMBER_SLACK else x + 0.0)
 
 
 def _mc_seed(seed):
@@ -124,7 +127,7 @@ def _analysis_report(gate, name, args, tol: Tolerances) -> dict:
         "g1": [inv.g1.real + 0.0, inv.g1.imag + 0.0],
         "g2": inv.g2 + 0.0,
         "entangling_power": float(ep),
-        "perfect_entangler": _pe_point(coords),
+        "perfect_entangler": is_perfect_entangler(coords),
         "spe": spe,
         "spe_phi": float(coords.c2) if spe else None,
     }
@@ -305,7 +308,9 @@ def _cmd_table(args) -> int:
     header = ["operator", "c1", "c2", "c3", "G1", "G2", "e_p"]
     lines = [header]
     for r in rows:
-        g1 = f"{_fmt(r['g1'][0])}{'+' if r['g1'][1] >= 0 else ''}{_fmt(r['g1'][1])}i"
+        re_part, im_part = (_fmt(v) for v in r["g1"])
+        # the sign goes by the printed imaginary part, which may have rounded to 0
+        g1 = f"{re_part}{'' if im_part.startswith('-') else '+'}{im_part}i"
         lines.append(
             [
                 r["operator"],

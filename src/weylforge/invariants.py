@@ -120,7 +120,10 @@ def is_perfect_entangler(g, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """True when g can turn some product state into a maximally
     entangled one.
 
-    Criterion: the chamber point c of g lies in the polyhedron
+    g is a 4x4 gate, whose coordinates are extracted at tol, or a
+    coordinate triple, which is folded into the chamber (tol is not
+    read); any other shape is a ValueError.  Criterion: the chamber
+    point c lies in the polyhedron
 
         c1 + c2 >= pi/4,  c2 + |c3| <= pi/4
 
@@ -129,6 +132,11 @@ def is_perfect_entangler(g, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     the origin, read on the coordinates rather than the spectrum.
     """
     # canonical imports this module, so import it at call time
-    from .canonical import extract_coordinates
+    from .canonical import extract_coordinates, reduce_to_weyl
 
-    return _pe_point(extract_coordinates(g, tol))
+    shape = np.shape(g)
+    if shape == (4, 4):
+        return _pe_point(extract_coordinates(g, tol))
+    if shape == (3,):
+        return _pe_point(reduce_to_weyl(g))
+    raise ValueError(f"expected a coordinate triple or a 4x4 gate, got shape {shape}")

@@ -79,6 +79,8 @@ class GateMatrix:
     """
 
     __slots__ = ("matrix", "unitarity_residual")
+    # np.shape reads this rather than converting the gate to an array
+    shape = (4, 4)
 
     def __init__(self, matrix, tol: Tolerances = DEFAULT_TOLERANCES):
         m = np.array(matrix, dtype=complex)
@@ -125,8 +127,15 @@ def as_gate(g, tol: Tolerances = DEFAULT_TOLERANCES) -> GateMatrix:
 
 
 def kron2(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 operators, first factor on qubit 0."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two 2x2 operators, first factor on qubit 0.
+
+    Entry (2i + k, 2j + l) is a[i, j] * b[k, l], formed by one broadcast
+    multiply: the same products np.kron forms, so the same bits, without
+    its general-rank bookkeeping.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def rot_x(angle: float) -> np.ndarray:
@@ -241,7 +250,7 @@ def split_local(m, tol: Tolerances = DEFAULT_TOLERANCES):
         raise ConsistencyError("Kronecker factor has numerically zero determinant")
     a = a / z
     b = b * z
-    residual = np.abs(np.kron(a, b) - M).max()
+    residual = np.abs(kron2(a, b) - M).max()
     if residual > tol.comparison:
         raise ConsistencyError(
             f"matrix is not a Kronecker product (residual {residual:.3e})"

@@ -24,6 +24,7 @@ from weylforge.gates import NAMED_GATES
 from conftest import chamber_point, dressed, haar_su2, mirror_face_targets
 
 QUARTER = np.pi / 4
+HALF = np.pi / 2
 
 # chamber coordinates of the built-in gates
 KNOWN_COORDS = {
@@ -234,6 +235,58 @@ def test_chamber_locals_replay_the_fold():
         rep, ops = canonical._reduce_with_ops(c)
         _, _, replayed = canonical._chamber_locals(c, *ops)
         assert np.abs(replayed - np.asarray(rep)).max() < 1e-10, (c, ops)
+
+
+# Reference for the Python-float fold: the numpy fold it replaced, kept
+# verbatim.  The two must agree bit for bit, ops included.
+def _numpy_fold(c):
+    c = np.asarray(c, dtype=float)
+    # np.mod rather than a rounded quotient: -5.6e-17 maps to pi/2 and
+    # then to an exact 0, not to a tiny negative coordinate
+    vals = np.mod(c, HALF)
+    vals = np.where(vals > QUARTER, vals - HALF, vals)
+    K = np.round((vals - c) / HALF).astype(int)
+    perm = [int(i) for i in np.argsort(-np.abs(vals), kind="stable")]
+    pat = np.ones(3, dtype=int)
+    for t in (0, 1):
+        if vals[perm[t]] < 0:
+            pat[[perm[t], perm[2]]] *= -1
+    rep = (pat * vals)[perm]
+    if rep[0] >= QUARTER - 1e-12 and rep[2] < 0:
+        pat[[perm[0], perm[2]]] *= -1
+        K[perm[0]] += pat[perm[0]]
+        rep = np.array([HALF - rep[0], rep[1], -rep[2]])
+    ops = (tuple(int(k) for k in K), tuple(int(s) for s in pat), tuple(perm))
+    return tuple(float(v) for v in rep), ops
+
+
+def _assert_fold_matches_numpy(c):
+    rep, ops = canonical._reduce_with_ops(c)
+    want_rep, want_ops = _numpy_fold(c)
+    assert [v.hex() for v in rep] == [v.hex() for v in want_rep], c
+    assert ops == want_ops, c
+    assert all(type(v) is float for v in rep), c
+    assert all(type(k) is int for part in ops for k in part), c
+
+
+_SPECIAL_VALUES = (
+    0.0, -0.0, QUARTER, -QUARTER, HALF, -HALF, np.pi, 1e-17, -1e-17,
+    QUARTER + 1e-13, QUARTER - 1e-13, -5.6e-17, np.pi / 8,
+)
+
+
+def test_fold_matches_the_numpy_fold_on_random_and_special_triples():
+    rng = np.random.default_rng(65)
+    for c in rng.uniform(-4.0, 4.0, size=(2000, 3)):
+        _assert_fold_matches_numpy(c)
+    for c in product(_SPECIAL_VALUES, repeat=3):
+        _assert_fold_matches_numpy(c)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.tuples(*(st.floats(-10.0, 10.0) for _ in range(3))))
+def test_fold_matches_the_numpy_fold_property(c):
+    _assert_fold_matches_numpy(c)
 
 
 def test_extract_on_the_mirror_face():

@@ -432,6 +432,34 @@ def test_chamber_csv_and_svg_agree(tmp_path, capsys):
         assert abs(y - float(row[3])) < 1e-12
 
 
+_E_NOTATION = re.compile(r"[-+]?\d+(?:\.\d*)?e[-+]?\d+")
+
+
+@pytest.mark.parametrize("argv", [["table"]] + [["analyze", n] for n in sorted(NAMED_GATES)])
+def test_text_output_prints_no_rounding_noise(capsys, argv):
+    # values below the chamber slack print as 0; the unitarity residual
+    # is a measured residual and keeps its own e-notation
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    noise = [
+        (line, m)
+        for line in out.splitlines()
+        if not line.startswith("unitarity_residual:")
+        for m in _E_NOTATION.findall(line)
+        if abs(float(m)) < invariants._CHAMBER_SLACK
+    ]
+    assert noise == []
+
+
+def test_table_signs_g1_by_its_printed_imaginary_part(capsys):
+    _, out, _ = run(capsys, "table")
+    g1 = {line.split()[0]: line.split()[4] for line in out.splitlines()[1:8]}
+    assert g1["swap"] == "-1+0i"
+    assert g1["sqrtswap"] == "0-0.25i"
+    assert g1["AxB"] == "1+0i"
+    assert g1["controlled-U(theta=0.7)"] == "0.58498357145+0i"
+
+
 def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "table")
     _, second, _ = run(capsys, "table")

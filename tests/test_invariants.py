@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from weylforge import canonical_gate, kron2, reduce_to_weyl, spectral_phases
+from weylforge import (
+    canonical_gate,
+    extract_coordinates,
+    kron2,
+    reduce_to_weyl,
+    spectral_phases,
+)
 from weylforge.linalg import eig_commuting_symmetric_pair, su4_normalize
 from weylforge.invariants import (
     MAGIC_FRAME,
@@ -115,6 +121,7 @@ def test_perfect_entangler_named_gates():
         ]
         for member in members:
             assert is_perfect_entangler(member) == want, name
+        assert is_perfect_entangler(extract_coordinates(g)) == want, name
 
 
 def _hull_contains_origin(points: np.ndarray, tol: float) -> bool:
@@ -195,13 +202,39 @@ def _plane_band(plane: int, side: int, d: float, rng):
 @pytest.mark.parametrize("plane", [1, 2])
 @pytest.mark.parametrize("side", [1, -1])
 def test_perfect_entangler_sides_of_each_plane_at_1e_10(plane, side):
+    # the gate path and the coordinate-triple path
     wrong = []
     for seed in range(200):
         rng = np.random.default_rng([49, seed])
         c = _plane_band(plane, side, 1e-10, rng)
-        if is_perfect_entangler(dressed(c, rng)) != (side > 0):
-            wrong.append(c)
+        for target in (dressed(c, rng), c):
+            if is_perfect_entangler(target) != (side > 0):
+                wrong.append(c)
     assert wrong == []
+
+
+def _folding_image(c):
+    """(c2, c1, c3) with the first two signs flipped and c3 shifted by
+    pi/2: a permutation, an even sign flip and a shift, so one class."""
+    c1, c2, c3 = c
+    return (-c2, -c1, c3 + np.pi / 2)
+
+
+def test_perfect_entangler_takes_a_coordinate_triple():
+    rng = np.random.default_rng(50)
+    for _ in range(200):
+        c = chamber_point(rng)
+        want = is_perfect_entangler(dressed(c, rng))
+        assert is_perfect_entangler(c) == want, c
+        assert is_perfect_entangler(list(_folding_image(c))) == want, c
+
+
+@pytest.mark.parametrize(
+    "bad", [np.zeros(2), np.zeros(4), np.eye(2), np.eye(3), np.zeros((3, 1)), 0.5]
+)
+def test_perfect_entangler_rejects_other_shapes(bad):
+    with pytest.raises(ValueError, match="shape"):
+        is_perfect_entangler(bad)
 
 
 def test_perfect_entangler_rejects_local_gates():

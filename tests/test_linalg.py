@@ -1,5 +1,9 @@
+import pathlib
+
 import numpy as np
 import pytest
+
+import weylforge
 
 from weylforge.linalg import (
     ConsistencyError,
@@ -29,6 +33,7 @@ def haar_u4(rng):
 def test_gate_matrix_accepts_unitary_and_is_immutable():
     g = GateMatrix(CNOT)
     assert g.unitarity_residual < 1e-15
+    assert np.shape(g) == (4, 4)
     assert not g.matrix.flags.writeable
     with pytest.raises(ValueError):
         g.matrix[0, 0] = 2.0
@@ -57,10 +62,39 @@ def test_as_gate_passthrough_and_coercion():
 
 
 def test_kron2_matches_numpy_kron():
+    # the same products as np.kron of the complex-cast factors, so the
+    # same bits, signed zeros included
     rng = np.random.default_rng(3)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    assert np.allclose(kron2(a, b), np.kron(a, b), atol=1e-15)
+    for _ in range(50):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        ar, br = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+        t = rng.uniform(-4, 4, size=3)
+        for x, y in (
+            (a, b),
+            (ar, br),
+            (a, br),
+            (rot_x(t[0]), rot_y(t[1])),
+            (rot_z(t[2]), rot_x(t[0])),
+            (haar_su2(rng), haar_su2(rng)),
+        ):
+            got = kron2(x, y)
+            want = np.kron(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+            assert got.shape == (4, 4) and got.dtype == complex
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_no_numpy_kron_in_the_package():
+    # every Kronecker product of two 2x2 operators goes through kron2
+    src = pathlib.Path(weylforge.__file__).parent
+    hits = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if "np.kron(" in line
+    ]
+    assert hits == []
 
 
 def test_kron2_is_multiplicative():
