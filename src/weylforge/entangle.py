@@ -25,15 +25,24 @@ and its conjugate, bit-identical to exp(-i ph/2), serves the |1>
 amplitude.  tests/test_entangle.py pins the stream to the reference
 formula with four exponentials.
 
-The batch loop allocates one workspace per call (states, images and
-concurrence scratch for at most 4096 rows) and writes every batch into
-it in place, the sampler filling its states through out=.  An array the
-loop yields is overwritten by the next batch.  Neither the sampling
-formula nor the stream changes: the in-place steps are the same ufuncs,
-in the same order, as the allocating expressions they replace.
+The batches of a run are split into contiguous ranges, one per worker
+thread: as many workers as the process may run on cores, at most one per
+batch, the calling thread being the first.  Each worker allocates one
+workspace (states, images and concurrence scratch for at most 4096 rows)
+and writes every batch of its range into it in place, the sampler
+filling its states through out=.  An array the loop yields is
+overwritten by the next batch.  A worker reduces batch j to slot j of a
+list, and the caller sums the slots in batch order, so the result is
+that of one worker, bit for bit.  The image product runs in blocks of
+2048 rows, small enough that BLAS computes each on the calling thread
+rather than waking its own thread pool.  Neither the sampling formula
+nor the stream changes: the in-place steps are the same ufuncs, in the
+same order, as the allocating expressions they replace.
 """
 
 import operator
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +76,9 @@ MAGIC_STATES = np.array(
 MAGIC_STATES.setflags(write=False)
 
 _BATCH = 4096
+# OpenBLAS threads a product of 4096 rows by a 4x4 matrix, not one of
+# 4000; at half that its CPU time equals its wall time
+_PRODUCT_ROWS = 2048
 # Philox key words are read as int64 first: 2**63 and -2**63 alias
 _KEY_LIMIT = 2**63
 
@@ -236,35 +248,104 @@ def _sample_run(n, seed) -> tuple:
     return n, _key_word("seed", seed)
 
 
-def _image_concurrences(gate: np.ndarray, n: int, seed: int):
+def _batch_count(n: int) -> int:
+    return (n + _BATCH - 1) // _BATCH
+
+
+def _image_product(psi: np.ndarray, gate: np.ndarray, out: np.ndarray) -> None:
+    """out = psi @ gate.T, bit for bit, in blocks of _PRODUCT_ROWS rows.
+
+    A one-row block would take numpy's vector-matrix path, whose rounding
+    differs from the matrix product's, so a one-row tail joins the block
+    before it.
+    """
+    count = len(psi)
+    edges = [*range(0, max(count - 1, 1), _PRODUCT_ROWS), count]
+    for lo, hi in zip(edges, edges[1:]):
+        np.matmul(psi[lo:hi], gate.T, out=out[lo:hi])
+
+
+def _image_concurrences(gate: np.ndarray, n: int, seed: int, batches=None):
     """Yield, batch by batch, the concurrences of gate|psi> over n Haar
     product states psi drawn from the stream keyed by seed.
 
     Batches hold 4096 states (the last one the remainder), batch j drawn
-    by haar_product_states(seed, j, count) into the states buffer.  One
-    workspace of min(n, 4096) rows serves the whole call: states, images
-    and concurrence scratch are written in place, so the yielded array
-    is a view that the next batch overwrites.  Consume each batch before
-    asking for the next.  The arithmetic, and so the stream, is that of
-    the allocating formula 2|i0 i3 - i1 i2| over images = states @ gate.T.
+    by haar_product_states(seed, j, count) into the states buffer.
+    batches, a range of batch indices, picks the ones to yield (all of
+    them by default).  One workspace of min(n, 4096) rows serves the
+    whole call: states, images and concurrence scratch are written in
+    place, so the yielded array is a view that the next batch overwrites.
+    Consume each batch before asking for the next.  The arithmetic, and
+    so the stream, is that of the allocating formula 2|i0 i3 - i1 i2|
+    over images = states @ gate.T.
     """
+    if batches is None:
+        batches = range(_batch_count(n))
     rows = min(n, _BATCH)
     states = np.empty((rows, 4), dtype=complex)
     images = np.empty((rows, 4), dtype=complex)
     ad = np.empty(rows, dtype=complex)
     bc = np.empty(rows, dtype=complex)
     conc = np.empty(rows)
-    for j in range((n + _BATCH - 1) // _BATCH):
+    for j in batches:
         count = min(_BATCH, n - j * _BATCH)
         im, x, y, c = images[:count], ad[:count], bc[:count], conc[:count]
         psi = haar_product_states(seed, j, count, out=states[:count])
-        np.matmul(psi, gate.T, out=im)
+        _image_product(psi, gate, im)
         np.multiply(im[:, 0], im[:, 3], out=x)
         np.multiply(im[:, 1], im[:, 2], out=y)
         np.subtract(x, y, out=x)
         np.abs(x, out=c)
         np.multiply(2.0, c, out=c)
         yield c
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _per_batch(gate: np.ndarray, n: int, seed: int, reduce) -> list:
+    """[reduce(concurrences of batch j) for each batch j] of the run
+    (gate, n, seed), with the batches split over worker threads.
+
+    Worker k owns the k-th of w contiguous ranges of batch indices,
+    w = min(cores, batches); the calling thread is worker 0, so a run of
+    one batch starts no thread.  Every thread is joined before this
+    returns or raises.  A worker stops at its first exception, and the
+    one re-raised is that of the lowest worker, which is the exception
+    of the earliest failing batch, as in a serial loop.
+    """
+    batches = _batch_count(n)
+    workers = min(_cores(), batches)
+    results = [None] * batches
+    errors = [None] * workers
+
+    def work(k):
+        owned = range(k * batches // workers, (k + 1) * batches // workers)
+        try:
+            for j, conc in zip(owned, _image_concurrences(gate, n, seed, owned)):
+                results[j] = reduce(conc)
+        except BaseException as exc:  # re-raised by the caller below
+            errors[k] = exc
+
+    threads = []
+    try:
+        for k in range(1, workers):
+            thread = threading.Thread(target=work, args=(k,))
+            thread.start()
+            threads.append(thread)
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def entangling_power_mc(
@@ -275,21 +356,22 @@ def entangling_power_mc(
 
     The per-sample entropy is evaluated through the concurrence identity
     E = C^2/2, which keeps product images at exactly zero.  Batches of
-    4096 are accumulated separately and summed once at the end, so the
-    result is bitwise independent of how batches are grouped into
-    workers.
+    4096 are accumulated separately, on as many threads as there are
+    cores, and summed once at the end in batch order, so the result is
+    bitwise independent of how batches are grouped into workers.
     """
     n, seed = _sample_run(n, seed)
     gate = as_gate(g, tol=tol).matrix
-    sums = []
-    squares = []
-    for entropy in _image_concurrences(gate, n, seed):
+
+    def moments(entropy):
         # entropy = 0.5 * conc**2, then its square, in the batch's buffer
         np.square(entropy, out=entropy)
         np.multiply(0.5, entropy, out=entropy)
-        sums.append(entropy.sum())
+        total = entropy.sum()
         np.square(entropy, out=entropy)
-        squares.append(entropy.sum())
+        return total, entropy.sum()
+
+    sums, squares = zip(*_per_batch(gate, n, seed, moments))
     total = float(np.sum(sums))
     total_sq = float(np.sum(squares))
     mean = total / n

@@ -30,7 +30,7 @@ from .canonical import (
     kak_decompose,
     reduce_to_weyl,
 )
-from .entangle import _image_concurrences, _sample_run, concurrence_pure
+from .entangle import _per_batch, _sample_run, concurrence_pure
 from .invariants import _CHAMBER_SLACK
 
 __all__ = [
@@ -182,8 +182,5 @@ def separability_preservation_probe(g, n: int, seed: int) -> float:
     """
     n, seed = _sample_run(n, seed)
     gate = as_gate(g).matrix
-    kept = sum(
-        int(np.count_nonzero(conc <= 1e-7))
-        for conc in _image_concurrences(gate, n, seed)
-    )
-    return kept / n
+    kept = _per_batch(gate, n, seed, lambda conc: int(np.count_nonzero(conc <= 1e-7)))
+    return sum(kept) / n
