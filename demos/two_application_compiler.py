@@ -3,9 +3,10 @@ Compiling any gate from two applications of one entangler
 =========================================================
 
 Two applications of the gate C[phi] = G(pi/4, phi, 0), padded with
-single-qubit rotations, reach a phi-dependent slice of the chamber.
-At phi = pi/8 the slice is the whole chamber: every two-qubit gate
-comes out of exactly two applications.
+single-qubit rotations, reach a phi-dependent slice of the chamber:
+a class (c1, c2, c3) is reachable exactly when |c3|/2 <= phi <=
+pi/4 - |c3|/2.  At phi = pi/8 the slice is the whole chamber: every
+two-qubit gate comes out of exactly two applications.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from weylforge import (
     circuit_matrix,
     extract_coordinates,
-    feasible_phi_profile,
+    feasible_phi_intervals,
     synthesize,
     verify_equivalence,
 )
@@ -44,14 +45,10 @@ residual = np.abs(circuit_matrix(circuit).matrix - gate).max()
 print(f"dcnot as a matrix target: reconstruction residual {residual:.2e}")
 print()
 
-# --- why pi/8 and not some other phi: SWAP is the stress case
-profile = feasible_phi_profile((np.pi / 4, np.pi / 4, np.pi / 4), 31)
-feasible = [phi for phi, ok in profile if ok]
-print(f"swap target: {len(feasible)} of {len(profile)} grid values feasible")
-print(f"the survivor is phi = {feasible[0]:.10f} (pi/8 = {EIGHTH:.10f})")
-print()
-
-# a milder target keeps more of the family usable
-profile = feasible_phi_profile((0.61, 0.24, -0.08), 31)
-feasible = [phi for phi, ok in profile if ok]
-print(f"generic target: {len(feasible)} of {len(profile)} grid values feasible")
+# --- why pi/8 and not some other phi: each solution branch reaches a
+# class on one closed interval of phi, and pi/8 lies in both of them
+for name, c in (("swap", (np.pi / 4, np.pi / 4, np.pi / 4)), ("generic", target)):
+    print(f"{name} target {tuple(round(float(v), 6) for v in c)}: feasible phi")
+    for branch, lo, hi in feasible_phi_intervals(c):
+        print(f"   {branch}: [{lo:.10f}, {hi:.10f}]")
+print(f"swap keeps phi = pi/8 = {EIGHTH:.10f} alone; a milder target keeps more")

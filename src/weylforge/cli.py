@@ -37,8 +37,7 @@ from .spe import is_spe
 from .synth import (
     InfeasibleSynthesisError,
     circuit_to_dict,
-    feasible_phi_profile,
-    infeasibility_reasons,
+    feasible_phi_intervals,
     synthesize,
     _mat_from_lists,
 )
@@ -200,12 +199,11 @@ def _cmd_synthesize(args) -> int:
         circuit = synthesize(target, phi)
     except InfeasibleSynthesisError as exc:
         print("phi feasibility profile:", file=sys.stderr)
-        for grid_phi, ok in feasible_phi_profile(chamber, 31):
-            if ok:
-                print(f"  phi={_fmt(grid_phi)}  feasible", file=sys.stderr)
-            else:
-                why = "; ".join(infeasibility_reasons(chamber, grid_phi))
-                print(f"  phi={_fmt(grid_phi)}  infeasible  {why}", file=sys.stderr)
+        for branch, lo, hi in feasible_phi_intervals(chamber):
+            print(
+                f"  {branch}  feasible for {_fmt(lo)} <= phi <= {_fmt(hi)}",
+                file=sys.stderr,
+            )
         print(exc, file=sys.stderr)
         print("pick a feasible phi from the profile (pi/8 always works)", file=sys.stderr)
         return 1

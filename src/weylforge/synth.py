@@ -19,13 +19,22 @@ of v^2 - 2(1 - AB)v + (1 - A^2)(1 - B^2) = 0, with
     cos^2 2a = (opposite root) * tan^2 2phi / (2(1 - k) - v).
 
 A branch is feasible when cos 2b lands in [-1, 1] and cos^2 2a in
-[0, 1]; not every phi admits a feasible branch for every target, but
-phi = pi/8 (the B gate) always does, so `--phi auto` means pi/8.
-phi = 0 and phi = pi/4 are never admissible for generic targets.  These
-conditions decide feasibility in closed form: feasible_phi_profile
-evaluates them over a phi grid without synthesizing, and
-infeasibility_reasons (and the message of InfeasibleSynthesisError)
-names the condition each branch violates and by how much.
+[0, 1].  With tan^2 2phi = (1 - k)/(1 + k) these read k <= 1 - v/2 and
+2k^2 + (v - opp)k + (v + opp - 2) <= 0, and the quadratic factors as
+2(k + A)(k - B) on sols1 and 2(k - A)(k + B) on sols2.  In the chamber
+(A <= B) the quadratic bound implies the linear one, so each branch is
+feasible on one closed interval of phi:
+
+    sols1:  |c3|/2 <= phi <= pi/4 - c2/2
+    sols2:   c2/2  <= phi <= pi/4 - |c3|/2
+
+Both contain phi = pi/8 (the B gate), so `--phi auto` means pi/8, and
+their union |c3|/2 <= phi <= pi/4 - |c3|/2 depends on c3 alone.
+phi = 0 and phi = pi/4 are never admissible.  feasible_phi_intervals
+returns the two intervals, feasible_phi_profile tests a phi grid
+against them, and infeasibility_reasons (and the message of
+InfeasibleSynthesisError) names the condition each branch violates at
+one phi and by how much.
 
 Inverse cosines give a0 in [0, pi/4] and b0 in [0, pi/2].  The signed
 matching equation cos 2a sin 2b sin 4phi = sin 2c2 sin 2c3 then fixes
@@ -64,18 +73,17 @@ from .spe import _phi, spe_gate
 
 __all__ = [
     "UnsupportedPhiError",
-    "DegenerateTargetError",
     "InfeasibleSynthesisError",
     "SynthesisSolution",
     "NonlocalLayer",
     "LocalLayer",
     "Circuit",
-    "b_gate_params",
     "spe_params",
     "synthesize",
     "special_circuit",
     "circuit_matrix",
     "verify_equivalence",
+    "feasible_phi_intervals",
     "feasible_phi_profile",
     "infeasibility_reasons",
     "circuit_to_dict",
@@ -85,10 +93,6 @@ __all__ = [
 
 class UnsupportedPhiError(ValueError):
     """phi = 0 or pi/4: these family members cannot drive the synthesis."""
-
-
-class DegenerateTargetError(ValueError):
-    """The closed-form angle equations are singular for this target."""
 
 
 class InfeasibleSynthesisError(RuntimeError):
@@ -171,40 +175,6 @@ def circuit_matrix(c: Circuit, tol: Tolerances = DEFAULT_TOLERANCES) -> GateMatr
     return GateMatrix(_product(c), tol=tol)
 
 
-def b_gate_params(c2: float, c3: float):
-    """Middle-layer angles for driving the synthesis with the B gate.
-
-    Closed form specific to phi = pi/8:
-
-        sin 2a = sqrt( cos2c2 cos2c3 / (1 - 2 sin^2 c2 cos^2 c3) )
-        cos 2b = 1 - 4 sin^2 c2 cos^2 c3
-
-    Returns principal values a, b in [0, pi/2].  The denominator
-    vanishes exactly when the numerator does (the DCNOT corner), where
-    a drops out of the circuit and is fixed to 0.
-    """
-    c2, c3 = float(c2), float(c3)
-    num = np.cos(2 * c2) * np.cos(2 * c3)
-    den = 1.0 - 2.0 * np.sin(c2) ** 2 * np.cos(c3) ** 2
-    cos2b = 1.0 - 4.0 * np.sin(c2) ** 2 * np.cos(c3) ** 2
-    if not -1.0 - 1e-9 <= cos2b <= 1.0 + 1e-9:
-        raise ValueError(f"cos 2b = {cos2b!r} outside [-1, 1]; target not in chamber?")
-    b = 0.5 * np.arccos(np.clip(cos2b, -1.0, 1.0))
-    if abs(den) <= 1e-12:
-        if abs(num) > 1e-12:
-            raise DegenerateTargetError(
-                f"sin 2a = {num!r}/{den!r} is singular for target (c2={c2}, c3={c3})"
-            )
-        return 0.0, float(b)
-    sin2a_sq = num / den
-    if not -1e-9 <= sin2a_sq <= 1.0 + 1e-9:
-        raise ValueError(
-            f"sin^2 2a = {sin2a_sq!r} outside [0, 1]; target not in chamber?"
-        )
-    a = 0.5 * np.arcsin(np.sqrt(np.clip(sin2a_sq, 0.0, 1.0)))
-    return float(a), float(b)
-
-
 def _admissible_phi(p) -> float:
     phi = _phi(p)
     if phi <= 1e-12 or phi >= QUARTER - 1e-12:
@@ -224,7 +194,7 @@ def _branch_roots(phi: float, c2: float, c3: float):
     [-1, 1] by 0.37".  phi is feasible for the target exactly when
     roots is non-empty.
     """
-    k = np.cos(4 * phi)
+    one_minus_k = 2.0 * np.sin(2 * phi) ** 2  # 1 - cos 4phi, exact near phi = 0
     A = np.cos(2 * c2)
     B = np.cos(2 * c3)
     tan_sq = np.tan(2 * phi) ** 2
@@ -234,7 +204,7 @@ def _branch_roots(phi: float, c2: float, c3: float):
         ("sols1", (1 + A) * (1 - B), (1 - A) * (1 + B)),
         ("sols2", (1 - A) * (1 + B), (1 + A) * (1 - B)),
     ):
-        cos2b = 1.0 - v / (1.0 - k)
+        cos2b = 1.0 - v / one_minus_k
         if not -1.0 - 1e-9 <= cos2b <= 1.0 + 1e-9:
             failures.append(
                 f"{branch}: cos 2b = {cos2b:.6g} outside [-1, 1] "
@@ -242,8 +212,8 @@ def _branch_roots(phi: float, c2: float, c3: float):
             )
             continue
         b0 = 0.5 * np.arccos(np.clip(cos2b, -1.0, 1.0))
-        den = 2.0 * (1.0 - k) - v
-        if den <= 1e-12:
+        den = 2.0 * one_minus_k - v  # (1 + cos 2b)(1 - k)
+        if den <= 1e-12 * one_minus_k:
             # cos 2b = -1 makes the a-rotations cancel; feasible only
             # when the opposite root contributes nothing
             leak = opposite * tan_sq
@@ -276,8 +246,23 @@ def infeasibility_reasons(target, p) -> list:
     closed-form solution and its value (see the module docstring).
     """
     phi = _admissible_phi(p)
-    c = reduce_to_weyl(CanonicalCoords(*(float(v) for v in target)))
+    c = reduce_to_weyl(target)
     return _branch_roots(phi, c.c2, c.c3)[1]
+
+
+def feasible_phi_intervals(target) -> list:
+    """The phi at which each branch reaches the class of target.
+
+    Returns [(branch, lo, hi), ...] for sols1 and sols2: the branch has
+    a root exactly for lo <= phi <= hi (see the module docstring).
+    Both intervals contain pi/8; the ends 0 and pi/4 are never
+    admissible themselves.
+    """
+    _, c2, c3 = reduce_to_weyl(target)
+    return [
+        ("sols1", abs(c3) / 2, QUARTER - c2 / 2),
+        ("sols2", c2 / 2, QUARTER - abs(c3) / 2),
+    ]
 
 
 def spe_params(p, target) -> list:
@@ -346,6 +331,11 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
         reasons = infeasibility_reasons(chamber, p)
         if candidates:
             reasons.append(f"none of {len(candidates)} candidates verified")
+        intervals = ", ".join(
+            f"{branch} [{lo:.12g}, {hi:.12g}]"
+            for branch, lo, hi in feasible_phi_intervals(chamber)
+        )
+        reasons.append(f"feasible phi: {intervals}")
         raise InfeasibleSynthesisError(
             f"no solution at phi = {_phi(p)!r} reaches target class "
             f"{tuple(chamber)}: " + "; ".join(reasons),
@@ -401,38 +391,37 @@ def _in_class(gate: GateMatrix, chamber: CanonicalCoords, tol: Tolerances) -> bo
     return _class_match(coords, chamber, _SAME_CLASS_TOL) is not None
 
 
-def special_circuit(kind: str, p) -> Circuit:
-    """Fixed-form circuits for the CNOT and DCNOT classes.
+# the special classes and the branch the paper builds each on
+_SPECIAL_CLASSES = {
+    "cnot": ((QUARTER, 0.0, 0.0), "sols1"),
+    "dcnot": ((QUARTER, QUARTER, 0.0), "sols2"),
+}
 
-    cnot  (valid 0 < phi < pi/4):
-        C[phi] . ( e^{-i pi/4 sigma_2} (x) e^{-i pi/2 sigma_3} ) . C[phi]
-        The top rotation is the generic-circuit top at c1 = pi/4; the
-        bottom pair of z-rotations is the (a, b) = (pi/4, 0) middle
-        layer, which collapses to a single z-rotation.
-    dcnot (valid pi/8 <= phi < pi/4):
-        C[phi] . ( e^{-i pi/4 sigma_2} (x)
-                   e^{-i pi/4 sigma_3} e^{-i b sigma_2} e^{-i pi/4 sigma_3}
-                 ) . C[phi]   with cos 2b = -cot^2 2phi.
+
+def special_circuit(kind: str, p) -> Circuit:
+    """Two-application circuits for the CNOT and DCNOT classes.
+
+    The generic circuit on the paper's branch, valid on that branch's
+    feasible interval inside (0, pi/4); as in every synthesis, phi
+    within 1e-12 of either end raises UnsupportedPhiError:
+
+    cnot  sols1, (a, b) = (pi/4, 0): the middle layer collapses to
+          e^{-i pi/4 sigma_2} (x) e^{-i pi/2 sigma_3}; 0 < phi < pi/4.
+    dcnot sols2, a = pi/4 and cos 2b = -cot^2 2phi; pi/8 <= phi < pi/4.
     """
-    phi = _phi(p)
-    if kind == "cnot":
-        if not 0.0 < phi < QUARTER:
-            raise ValueError(
-                f"cnot circuit needs phi strictly inside (0, pi/4), got {phi!r}"
-            )
-        middle = LocalLayer(top=rot_y(QUARTER), bottom=rot_z(np.pi / 2))
-    elif kind == "dcnot":
-        if not np.pi / 8 <= phi < QUARTER:
-            raise ValueError(
-                f"dcnot circuit needs phi in [pi/8, pi/4), got {phi!r}"
-            )
-        cos2b = -1.0 / np.tan(2 * phi) ** 2
-        b = 0.5 * np.arccos(np.clip(cos2b, -1.0, 1.0))
-        bottom = rot_z(QUARTER) @ rot_y(b) @ rot_z(QUARTER)
-        middle = LocalLayer(top=rot_y(QUARTER), bottom=bottom)
-    else:
+    if kind not in _SPECIAL_CLASSES:
         raise ValueError(f"unknown special circuit kind {kind!r}")
-    return Circuit(layers=(NonlocalLayer(phi=phi), middle, NonlocalLayer(phi=phi)))
+    target, branch = _SPECIAL_CLASSES[kind]
+    phi = _phi(p)
+    chamber = reduce_to_weyl(target)
+    _, lo, hi = next(i for i in feasible_phi_intervals(chamber) if i[0] == branch)
+    if not (lo <= phi <= hi and 0.0 < phi < QUARTER):
+        raise ValueError(
+            f"{kind} circuit needs {lo!r} <= phi <= {hi!r} and 0 < phi < pi/4, "
+            f"got {phi!r}"
+        )
+    (sol,) = [s for s in spe_params(phi, chamber) if s.branch == branch]
+    return _core_circuit(chamber, sol)
 
 
 def feasible_phi_profile(target, grid_size: int) -> list:
@@ -440,20 +429,14 @@ def feasible_phi_profile(target, grid_size: int) -> list:
 
     Returns [(phi, feasible), ...] for grid_size interior points; grid
     endpoints 0 and pi/4 are excluded since they are never admissible.
-    Feasibility is decided in closed form, without synthesizing: phi is
-    feasible when some solution branch has a root (cos 2b in [-1, 1],
-    cos^2 2a in [0, 1]).  infeasibility_reasons says which condition
-    fails.
+    phi is feasible when it lies in one of the feasible_phi_intervals;
+    infeasibility_reasons says which condition fails elsewhere.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    chamber = reduce_to_weyl(CanonicalCoords(*(float(v) for v in target)))
-    profile = []
-    for k in range(grid_size):
-        phi = (k + 1) * QUARTER / (grid_size + 1)
-        roots, _ = _branch_roots(phi, chamber.c2, chamber.c3)
-        profile.append((phi, bool(roots)))
-    return profile
+    intervals = feasible_phi_intervals(target)
+    grid = [(k + 1) * QUARTER / (grid_size + 1) for k in range(grid_size)]
+    return [(phi, any(lo <= phi <= hi for _, lo, hi in intervals)) for phi in grid]
 
 
 # JSON layer encoding: complex entries as [re, im] pairs

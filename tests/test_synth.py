@@ -6,18 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from weylforge import (
     Circuit,
-    DegenerateTargetError,
     GateMatrix,
     InfeasibleSynthesisError,
     LocalLayer,
     NonlocalLayer,
     SpeParams,
     UnsupportedPhiError,
-    b_gate_params,
     circuit_from_dict,
     circuit_matrix,
     circuit_to_dict,
     extract_coordinates,
+    feasible_phi_intervals,
     feasible_phi_profile,
     infeasibility_reasons,
     kak_decompose,
@@ -40,21 +39,43 @@ QUARTER = np.pi / 4
 EIGHTH = np.pi / 8
 
 
+def b_gate_params(c2, c3):
+    """Reference: the dedicated pi/8 (B gate) formula of the sols2 branch.
+
+        sin 2a = sqrt( cos2c2 cos2c3 / (1 - 2 sin^2 c2 cos^2 c3) )
+        cos 2b = 1 - 4 sin^2 c2 cos^2 c3
+
+    Principal values a, b in [0, pi/2] for a chamber point.  The
+    denominator vanishes with the numerator at the DCNOT corner, where
+    a drops out of the circuit and is fixed to 0.
+    """
+    num = np.cos(2 * c2) * np.cos(2 * c3)
+    den = 1.0 - 2.0 * np.sin(c2) ** 2 * np.cos(c3) ** 2
+    cos2b = 1.0 - 4.0 * np.sin(c2) ** 2 * np.cos(c3) ** 2
+    b = 0.5 * np.arccos(np.clip(cos2b, -1.0, 1.0))
+    if abs(den) <= 1e-12:
+        return 0.0, float(b)
+    a = 0.5 * np.arcsin(np.sqrt(np.clip(num / den, 0.0, 1.0)))
+    return float(a), float(b)
+
+
+def _sols2_at_the_b_gate(c2, c3):
+    (sol,) = [s for s in spe_params(EIGHTH, (QUARTER, c2, c3)) if s.branch == "sols2"]
+    return sol
+
+
 def test_b_gate_params_at_the_family_corners():
-    a, b = b_gate_params(0.0, 0.0)  # cnot column
-    assert abs(a - QUARTER) < 1e-12
-    assert abs(b) < 1e-12
-    a, b = b_gate_params(QUARTER, 0.0)  # dcnot column, 0/0 resolved to a = 0
-    assert abs(a) < 1e-12
-    # arccos near -1 amplifies rounding to sqrt(eps)
-    assert abs(b - np.pi / 2) < 1e-7
-
-
-def test_b_gate_params_rejects_degenerate_off_chamber_input():
-    c2 = 0.9
-    c3 = np.arccos(np.sqrt(0.5) / np.sin(c2))  # makes the denominator vanish
-    with pytest.raises(DegenerateTargetError):
-        b_gate_params(c2, c3)
+    # the cnot column, (a, b) = (pi/4, 0), and the dcnot column, where
+    # 0/0 resolves to a = 0 and arccos near -1 amplifies rounding to
+    # sqrt(eps): the reference and the sols2 root agree with both
+    for c2, a_want, b_want, b_tol in (
+        (0.0, QUARTER, 0.0, 1e-12),
+        (QUARTER, 0.0, np.pi / 2, 1e-7),
+    ):
+        sol = _sols2_at_the_b_gate(c2, 0.0)
+        for a, b in (b_gate_params(c2, 0.0), (sol.a, sol.b)):
+            assert abs(a - a_want) < 1e-12
+            assert abs(b - b_want) < b_tol
 
 
 def test_b_gate_params_agrees_with_general_branch_roots():
@@ -64,14 +85,9 @@ def test_b_gate_params_agrees_with_general_branch_roots():
         c2 = rng.uniform(0.0, QUARTER)
         c3 = rng.uniform(0.0, c2)
         a_ref, b_ref = b_gate_params(c2, c3)
-        sols = [
-            s
-            for s in spe_params(EIGHTH, (QUARTER, c2, c3))
-            if s.branch == "sols2"
-        ]
-        assert sols
-        assert abs(np.sin(2 * sols[0].a) - np.sin(2 * a_ref)) < 1e-10
-        assert abs(np.cos(2 * sols[0].b) - np.cos(2 * b_ref)) < 1e-10
+        sol = _sols2_at_the_b_gate(c2, c3)
+        assert abs(np.sin(2 * sol.a) - np.sin(2 * a_ref)) < 1e-10
+        assert abs(np.cos(2 * sol.b) - np.cos(2 * b_ref)) < 1e-10
 
 
 def test_solutions_satisfy_the_matching_equation():
@@ -361,6 +377,58 @@ def test_feasible_phi_profile_matches_the_synthesis_scan_property(u, v, w, face)
     assert feasible_phi_profile(c, 31) == _scanned_phi_profile(c, 31)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.sampled_from(_FACES),
+)
+def test_feasible_phi_intervals_are_the_branch_roots_property(u, v, w, face):
+    c1 = u * QUARTER
+    c2 = v * c1
+    chamber = reduce_to_weyl(face(c1, c2, w * c2))
+    intervals = feasible_phi_intervals(chamber)
+    assert [branch for branch, _, _ in intervals] == ["sols1", "sols2"]
+    # the paper's claim in closed form: pi/8 reaches every class
+    assert any(lo <= EIGHTH <= hi for _, lo, hi in intervals)
+    # a phi grid, and 1e-6 to either side of each end
+    ends = [e + d for _, lo, hi in intervals for e in (lo, hi) for d in (-1e-6, 1e-6)]
+    for phi in _grid(40) + [e for e in ends if 1e-12 < e < QUARTER - 1e-12]:
+        roots = {r[0] for r in _branch_roots(phi, chamber.c2, chamber.c3)[0]}
+        for branch, lo, hi in intervals:
+            assert (lo <= phi <= hi) == (branch in roots), (chamber, phi, branch)
+
+
+def test_feasible_phi_intervals_of_the_named_classes():
+    s1 = np.pi / 16
+    named = {
+        "sqrtswap": ((EIGHTH, EIGHTH, EIGHTH), [(s1, 3 * s1), (s1, 3 * s1)]),
+        "cnot": ((QUARTER, 0.0, 0.0), [(0.0, QUARTER), (0.0, QUARTER)]),
+        "dcnot": ((QUARTER, QUARTER, 0.0), [(0.0, EIGHTH), (EIGHTH, QUARTER)]),
+    }
+    for name, (c, want) in named.items():
+        got = feasible_phi_intervals(c)
+        assert [branch for branch, _, _ in got] == ["sols1", "sols2"], name
+        for (_, lo, hi), (lo_want, hi_want) in zip(got, want):
+            assert abs(lo - lo_want) < 1e-12 and abs(hi - hi_want) < 1e-12, name
+    # swap: both branches at pi/8 alone
+    swap = (QUARTER, QUARTER, QUARTER)
+    for _, lo, hi in feasible_phi_intervals(swap):
+        assert lo <= EIGHTH <= hi and hi - lo < 1e-8
+
+
+def test_swap_misses_phi_next_to_pi8():
+    # pi/8 is a double root for swap, so the 1e-9 slack of _branch_roots
+    # admits roots for a few 1e-6 around it; their circuits miss the
+    # class, and synthesis agrees with the interval
+    swap = (QUARTER, QUARTER, QUARTER)
+    for phi in (EIGHTH - 1e-6, EIGHTH - 1e-7, EIGHTH + 1e-7, EIGHTH + 1e-6):
+        assert _branch_roots(phi, QUARTER, QUARTER)[0]
+        with pytest.raises(InfeasibleSynthesisError, match="none of 2 candidates verified"):
+            synthesize(swap, phi)
+
+
 def _enumerated_choice(target, phi):
     """Reference: the middle-layer quadrant by search, not closed form.
 
@@ -459,6 +527,17 @@ def test_infeasible_synthesis_error_names_the_violated_conditions():
         assert reason in message
 
 
+def test_infeasible_synthesis_error_names_the_feasible_intervals():
+    target = (0.6, 0.45, 0.25)
+    with pytest.raises(InfeasibleSynthesisError) as exc:
+        synthesize(target, 0.05)
+    message = str(exc.value)
+    for reason in infeasibility_reasons(target, 0.05):
+        assert reason in message
+    # sols1 [|c3|/2, pi/4 - c2/2], sols2 [c2/2, pi/4 - |c3|/2]
+    assert "feasible phi: sols1 [0.125, 0.560398163397], sols2 [0.225, 0.660398163397]" in message
+
+
 def test_feasible_phi_profile_validates_grid():
     with pytest.raises(ValueError):
         feasible_phi_profile((QUARTER, 0.0, 0.0), 1)
@@ -476,6 +555,16 @@ def test_special_circuit_dcnot_family():
         circ = special_circuit("dcnot", phi)
         assert circ.nonlocal_count() == 2
         assert verify_equivalence(circ, (QUARTER, QUARTER, 0.0))
+
+
+@pytest.mark.parametrize("phi", [1e-11, 1e-9, 1e-7, 2e-7, QUARTER - 1e-9])
+def test_cnot_synthesizes_near_the_phi_endpoints(phi):
+    # 1 - cos 4phi vanishes by subtraction below phi ~ 1e-8 and read as
+    # cos 2b = -1 up to phi ~ 2.5e-7; CNOT is reachable at every phi
+    cnot = (QUARTER, 0.0, 0.0)
+    for circ in (synthesize(cnot, phi), special_circuit("cnot", phi)):
+        assert circ.nonlocal_count() == 2
+        assert verify_equivalence(circ, cnot)
 
 
 def test_special_circuit_range_checks():
