@@ -342,18 +342,19 @@ def _read_class(g, tol: Tolerances):
     return target, rep
 
 
-def kak_decompose(g, tol: Tolerances = DEFAULT_TOLERANCES) -> KakFactors:
-    """Full canonical decomposition of a two-qubit gate.
+def _kak_locals(gate: GateMatrix, tol: Tolerances):
+    """One KAK decomposition into unsplit 4x4 locals: (left, core, right, lam).
 
-    Steps: strip the determinant phase; move to the magic frame, where
-    the Gram matrix m = Ub^T Ub is symmetric unitary and its real and
-    imaginary parts commute; diagonalize both parts in one real
-    orthogonal frame; read the eigenphases, giving the core, and the
-    frame, giving the right local; recover the left local by division;
-    fold the raw core into the chamber, compensating with single-qubit
-    fix-ups; split both locals into SU(2) tensor factors.
+    left . G(core) . right reproduces gate up to a global phase, which
+    the caller reads off the overlap with the gate; left and right are
+    local with determinant 1, and core is the chamber point.  Steps:
+    strip the determinant phase; move to the magic frame, where the Gram
+    matrix m = Ub^T Ub is symmetric unitary and its real and imaginary
+    parts commute; diagonalize both parts in one real orthogonal frame;
+    read the eigenphases lam, giving the raw core, and the frame, giving
+    the right local; recover the left local by division; fold the raw
+    core into the chamber, compensating with single-qubit fix-ups.
     """
-    gate = as_gate(g, tol=tol)
     u = su4_normalize(gate, tol=tol).matrix
 
     q = MAGIC_FRAME
@@ -380,25 +381,51 @@ def kak_decompose(g, tol: Tolerances = DEFAULT_TOLERANCES) -> KakFactors:
         )
     o1 = o1.real
 
-    # magic-frame diagonal slots carry (lam1, lam4, lam3, lam2)
-    raw = np.array([(lam[0] + lam[1]) / 2, (lam[3] + lam[1]) / 2, (lam[0] + lam[3]) / 2])
-    core_check = np.abs(q @ np.diag(d) @ q.conj().T - canonical_gate(raw).matrix).max()
-    if core_check > 1e-9:
-        raise ConsistencyError(
-            f"eigenphases do not assemble into a canonical core ({core_check:.3e})"
-        )
-
     a_left = q @ o1 @ q.conj().T
     a_right = q @ o2 @ q.conj().T
 
+    raw = _raw_core(lam)
     cand, ops = _reduce_with_ops(raw)
     (la, lb, ra, rb), _, cur = _chamber_locals(raw, *ops)
     if np.abs(cur - np.asarray(cand)).max() > 1e-10:
         raise ConsistencyError("chamber fix-up bookkeeping mismatch")
     core = _snap_to_chamber(cand)
+    return a_left @ kron2(la, lb), core, kron2(ra, rb) @ a_right, lam
 
-    a1, b1 = split_local(a_left @ kron2(la, lb), tol=tol)
-    a2, b2 = split_local(kron2(ra, rb) @ a_right, tol=tol)
+
+def _raw_core(lam) -> np.ndarray:
+    """The unfolded core of the magic-frame eigenphases, whose diagonal
+    slots carry (lam1, lam4, lam3, lam2)."""
+    return np.array(
+        [(lam[0] + lam[1]) / 2, (lam[3] + lam[1]) / 2, (lam[0] + lam[3]) / 2]
+    )
+
+
+def kak_decompose(g, tol: Tolerances = DEFAULT_TOLERANCES) -> KakFactors:
+    """Full canonical decomposition of a two-qubit gate.
+
+    The decomposition itself is _kak_locals (see there).  This function
+    adds three self-checks and the split: the eigenphases must assemble
+    into canonical_gate of the raw core within 1e-9; both locals are
+    split into SU(2) tensor factors; and the factors must reassemble
+    into the input within 1e-6, with the global phase read off their
+    overlap.  synthesize calls _kak_locals directly and lets its own
+    dressed-circuit residual stand in for these checks.
+    """
+    gate = as_gate(g, tol=tol)
+    left, core, right, lam = _kak_locals(gate, tol)
+
+    q = MAGIC_FRAME
+    core_check = np.abs(
+        q @ np.diag(np.exp(-1j * lam)) @ q.conj().T - canonical_gate(_raw_core(lam)).matrix
+    ).max()
+    if core_check > 1e-9:
+        raise ConsistencyError(
+            f"eigenphases do not assemble into a canonical core ({core_check:.3e})"
+        )
+
+    a1, b1 = split_local(left, tol=tol)
+    a2, b2 = split_local(right, tol=tol)
 
     # the SU(2) splits fix each factor only up to a joint sign, so read
     # the global phase off the overlap with the input instead of

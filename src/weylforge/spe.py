@@ -26,6 +26,7 @@ from .linalg import Tolerances, DEFAULT_TOLERANCES, GateMatrix, as_gate, kron2
 from .canonical import (
     QUARTER,
     CanonicalCoords,
+    _chamber_locals,
     canonical_gate,
     kak_decompose,
     reduce_to_weyl,
@@ -121,6 +122,11 @@ def witness_basis(theta: float, p) -> WitnessBasis:
     return WitnessBasis(theta=theta, phi=phi, states=states, a=a, b=complex(b))
 
 
+# the fold's (shift, sign pattern, permutation) from (0, pi/4, phi) to
+# the segment point (pi/4, phi, 0)
+_REP_TO_SEGMENT = ((0, 0, 0), (1, 1, 1), (1, 2, 0))
+
+
 def witness_basis_for_gate(g, theta: float, tol: Tolerances = DEFAULT_TOLERANCES):
     """Product basis maximally entangled by an arbitrary SPE matrix.
 
@@ -139,13 +145,13 @@ def witness_basis_for_gate(g, theta: float, tol: Tolerances = DEFAULT_TOLERANCES
             "a special perfect entangler"
         )
     phi = factors.core.c2
-    rep = kak_decompose(
-        canonical_gate(CanonicalCoords(0.0, QUARTER, phi)), tol=tol
-    )
+    # G(0, pi/4, phi) = e^{it} (la (x) lb) G(pi/4, phi, 0) (ra (x) rb) by
+    # one fixed permutation, whatever phi
+    (_, _, ra, rb), _, _ = _chamber_locals((0.0, QUARTER, phi), *_REP_TO_SEGMENT)
     base = witness_basis(theta, phi).states
-    # g = phase . (left locals) . G(0,pi/4,phi) . (u2+ a2 (x) v2+ b2),
+    # g = phase . (left locals) . G(0,pi/4,phi) . (ra+ a2 (x) rb+ b2),
     # so pre-rotating the basis by the inverse right local lines it up
-    right = kron2(rep.a2.conj().T @ factors.a2, rep.b2.conj().T @ factors.b2)
+    right = kron2(ra.conj().T @ factors.a2, rb.conj().T @ factors.b2)
     transported = base @ right.conj()
     transported.setflags(write=False)
     return transported

@@ -57,6 +57,7 @@ from .linalg import (
     kron2,
     rot_y,
     rot_z,
+    split_local,
 )
 from .invariants import invariants_from_coords
 from .canonical import (
@@ -65,8 +66,8 @@ from .canonical import (
     CanonicalCoords,
     _chamber_locals,
     _class_match,
+    _kak_locals,
     _read_class,
-    kak_decompose,
     reduce_to_weyl,
 )
 from .spe import _phi, spe_gate
@@ -195,15 +196,14 @@ def _branch_roots(phi: float, c2: float, c3: float):
     roots is non-empty.
     """
     one_minus_k = 2.0 * np.sin(2 * phi) ** 2  # 1 - cos 4phi, exact near phi = 0
-    A = np.cos(2 * c2)
-    B = np.cos(2 * c3)
+    # (1 + A)(1 - B) and (1 - A)(1 + B) in half angles, which stay
+    # accurate where the cosines would cancel near the interval ends
+    sols1 = 4.0 * (np.cos(c2) * np.sin(c3)) ** 2
+    sols2 = 4.0 * (np.sin(c2) * np.cos(c3)) ** 2
     tan_sq = np.tan(2 * phi) ** 2
     roots = []
     failures = []
-    for branch, v, opposite in (
-        ("sols1", (1 + A) * (1 - B), (1 - A) * (1 + B)),
-        ("sols2", (1 - A) * (1 + B), (1 + A) * (1 - B)),
-    ):
+    for branch, v, opposite in (("sols1", sols1, sols2), ("sols2", sols2, sols1)):
         cos2b = 1.0 - v / one_minus_k
         if not -1.0 - 1e-9 <= cos2b <= 1.0 + 1e-9:
             failures.append(
@@ -300,21 +300,25 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
     """Compile a target gate or class into exactly two C[phi] applications.
 
     Coordinate targets produce the bare two-application circuit whose
-    class matches the target.  Matrix targets additionally get outer
-    local layers and a global phase so the assembled circuit reproduces
-    the matrix itself within 1e-7.
+    class matches the target; each solution from spe_params, sols1
+    first, is tested by the class test of verify_equivalence on its
+    product (the layers are unitary by construction), and the first
+    that passes wins.
 
-    Each solution from spe_params, sols1 first, is certified by the class
-    test of verify_equivalence on its unchecked product (the layers are
-    unitary by construction); the first that verifies wins.
+    Matrix targets additionally get outer local layers and a global
+    phase so the assembled circuit reproduces the matrix itself.  The
+    target and each candidate's product are decomposed once each
+    (canonical._kak_locals); a candidate passes when its chamber point
+    names the target's class within 1e-7, and the dressed circuit's
+    residual against the target, at most 1e-7, certifies the result.
+    A larger residual raises ConsistencyError.
     """
     shape = np.shape(target)
     if shape == (4, 4):
         gate = as_gate(target, tol=tol)
-        factors = kak_decompose(gate, tol=tol)
-        chamber = factors.core
+        a1, chamber, a2, _ = _kak_locals(gate, tol)
     elif shape == (3,):
-        gate = factors = None
+        gate = None
         chamber = reduce_to_weyl(target)
     else:
         raise ValueError(
@@ -322,11 +326,23 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
         )
 
     candidates = spe_params(p, chamber)
+    cphi = spe_gate(p).matrix
     for sol in candidates:
         core = _core_circuit(chamber, sol)
-        core_gate = _trusted_gate(_product(core), 0.0)
-        if _in_class(core_gate, chamber, tol):
-            break
+        _, middle, _ = core.layers
+        mid = kron2(middle.top, middle.bottom)
+        # multiplied in the order _product uses, so the same bits
+        core_m = _trusted_gate(cphi @ (mid @ cphi), 0.0)
+        if gate is None:
+            if _in_class(core_m, chamber, tol):
+                return core
+        else:
+            # the core product M = e^{ib} P1 G(inner) P2 names the target's
+            # class directly, or from the other side of the face c1 = pi/4
+            p1, inner, p2, _ = _kak_locals(core_m, tol)
+            how = _class_match(inner, chamber, _SAME_CLASS_TOL)
+            if how is not None:
+                break
     else:
         reasons = infeasibility_reasons(chamber, p)
         if candidates:
@@ -341,34 +357,35 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
             f"{tuple(chamber)}: " + "; ".join(reasons),
             candidates,
         )
-    if gate is None:
-        return core
 
-    # dress the class circuit into the exact matrix: with the circuit's
-    # own decomposition M = e^{ib}(p1 (x) q1) G(core) (p2 (x) q2) and the
-    # target's g = e^{ig}(a1 (x) b1) G(core) (a2 (x) b2),
-    #   g = e^{i(g-b)} (a1 p1+ (x) b1 q1+) M (p2+ a2 (x) q2+ b2)
-    inner = kak_decompose(core_gate, tol=tol)
-    p1, q1, p2, q2, beta = inner.a1, inner.b1, inner.a2, inner.b2, inner.global_phase
-    if _class_match(inner.core, factors.core, _SAME_CLASS_TOL) == "mirror":
-        # inner.core is named from the other side of the face c1 = pi/4:
-        # the fold's fix-ups give G(inner.core) = e^{it} (la (x) lb) G(m)
-        # (ra (x) rb) with m = (pi/2 - c1, c2, -c3), which matches factors.core
+    if how == "mirror":
+        # the fold's fix-ups give G(inner) = e^{it} (la (x) lb) G(m)
+        # (ra (x) rb) with m = (pi/2 - c1, c2, -c3), the target's point
         mirror = ((-1, 0, 0), (-1, 1, -1), (0, 1, 2))
-        (la, lb, ra, rb), t, _ = _chamber_locals(inner.core, *mirror)
-        p1, q1, p2, q2, beta = p1 @ la, q1 @ lb, ra @ p2, rb @ q2, beta + t
-    lead = LocalLayer(top=p2.conj().T @ factors.a2, bottom=q2.conj().T @ factors.b2)
-    trail = LocalLayer(top=factors.a1 @ p1.conj().T, bottom=factors.b1 @ q1.conj().T)
-    full = Circuit(
-        layers=(lead, *core.layers, trail),
-        global_phase=float(factors.global_phase - beta),
-    )
-    residual = np.abs(_product(full) - gate.matrix).max()
+        (la, lb, ra, rb), _, _ = _chamber_locals(inner, *mirror)
+        p1, p2 = p1 @ kron2(la, lb), kron2(ra, rb) @ p2
+    # with the target g = e^{ig} A1 G(chamber) A2 and M = e^{ib} P1 G(chamber) P2,
+    #   g = e^{i(g-b)} (A1 P1+) M (P2+ A2)
+    # where the phase is read off the overlap with g
+    lead_top, lead_bottom = split_local(p2.conj().T @ a2, tol=tol)
+    trail_top, trail_bottom = split_local(a1 @ p1.conj().T, tol=tol)
+    # the circuit's own product, multiplied as _product multiplies it
+    lead, trail = kron2(lead_top, lead_bottom), kron2(trail_top, trail_bottom)
+    recon = trail @ (cphi @ (mid @ (cphi @ lead)))
+    phase = float(np.angle((gate.matrix * recon.conj()).sum()))
+    residual = np.abs(np.exp(1j * phase) * recon - gate.matrix).max()
     if residual > 1e-7:
         raise ConsistencyError(
             f"dressed circuit misses the target matrix by {residual:.3e}"
         )
-    return full
+    return Circuit(
+        layers=(
+            LocalLayer(top=lead_top, bottom=lead_bottom),
+            *core.layers,
+            LocalLayer(top=trail_top, bottom=trail_bottom),
+        ),
+        global_phase=phase,
+    )
 
 
 def verify_equivalence(c: Circuit, target, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:

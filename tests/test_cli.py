@@ -290,6 +290,25 @@ def test_synthesize_mirror_face_coords(capsys):
     assert "verification: PASS" in out
 
 
+def test_synthesize_at_the_sols1_lower_end(capsys):
+    # phi = |c3|/2 is the sols1 interval's lower end; the branch products
+    # written as cosine differences put cos^2 2a above 1 there by 4.6e-9
+    coords = (0.20336950326551628, 0.08357101699614722, -0.0008865451936572732)
+    code, out, err = run(
+        capsys,
+        "synthesize",
+        "--coords",
+        ",".join(repr(v) for v in coords),
+        "--phi",
+        "0.0004432725968286366",
+        "--json",
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["verified"] is True
+    assert verify_equivalence(circuit_from_dict(payload["circuit"]), coords)
+
+
 def test_synthesize_matrix_gate_round_trip(capsys):
     code, out, _ = run(capsys, "synthesize", "dcnot", "--phi", "auto", "--json")
     assert code == 0

@@ -3,6 +3,7 @@ import pytest
 
 from weylforge import (
     SpeParams,
+    canonical_gate,
     check_basis_images,
     concurrence_pure,
     extract_coordinates,
@@ -14,6 +15,8 @@ from weylforge import (
     witness_basis,
     witness_basis_for_gate,
 )
+from weylforge.canonical import _chamber_locals
+from weylforge.spe import _REP_TO_SEGMENT
 from weylforge.gates import CNOT, NAMED_GATES, SQRT_SWAP, SWAP
 
 from conftest import boundary_classes, chamber_point, dressed, haar_state, haar_su2
@@ -128,6 +131,32 @@ def test_witness_transport_to_dressed_gate():
         for row in basis:
             assert concurrence_pure(row) < 1e-9
         assert check_basis_images(g, basis).min() > 1 - 1e-9
+
+
+def test_witness_transport_stays_maximal_along_the_segment():
+    # the right local of G(0, pi/4, phi) is a constant of the fold, so
+    # the transported basis must stay maximal at both segment ends too
+    rng = np.random.default_rng(86)
+    phis = [0.0, np.pi / 8, QUARTER] + list(rng.uniform(0.0, QUARTER, 6))
+    for phi in phis:
+        for g in (spe_gate(phi), dressed((QUARTER, phi, 0.0), rng)):
+            for theta in (0.3, 1.1):
+                basis = witness_basis_for_gate(g, theta=theta)
+                assert check_basis_images(g, basis).min() >= 1 - 1e-9, (phi, theta)
+
+
+def test_the_representative_reaches_the_segment_by_one_fixed_operation():
+    # G(0, pi/4, phi) = e^{it} (la (x) lb) G(pi/4, phi, 0) (ra (x) rb)
+    # with locals that do not depend on phi
+    for phi in (0.0, 1e-9, 0.3, np.pi / 8, QUARTER - 1e-9, QUARTER):
+        (la, lb, ra, rb), t, final = _chamber_locals(
+            (0.0, QUARTER, phi), *_REP_TO_SEGMENT
+        )
+        assert np.array_equal(final, (QUARTER, phi, 0.0))
+        recon = np.exp(1j * t) * (
+            kron2(la, lb) @ canonical_gate((QUARTER, phi, 0.0)).matrix @ kron2(ra, rb)
+        )
+        assert np.abs(recon - canonical_gate((0.0, QUARTER, phi)).matrix).max() < 1e-14
 
 
 def test_witness_transport_rejects_non_spe_gates():
