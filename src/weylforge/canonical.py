@@ -331,7 +331,7 @@ def extract_coordinates(g, tol: Tolerances = DEFAULT_TOLERANCES) -> CanonicalCoo
 def _read_class(g, tol: Tolerances):
     """(invariants, coordinates) of g off one Gram matrix; see extract_coordinates."""
     m = m_matrix(su4_normalize(g, tol=tol))
-    target = _gram_invariants(m, 1.0, tol)
+    target = _gram_invariants(m, 1.0)
     l1, l2, _, l4 = -np.angle(np.linalg.eigvals(m)) / 2.0
     rep = reduce_to_weyl(((l1 + l4) / 2, (l2 + l4) / 2, (l1 + l2) / 2))
     got = invariants_from_coords(rep)
@@ -342,7 +342,7 @@ def _read_class(g, tol: Tolerances):
     return target, rep
 
 
-def _kak_locals(gate: GateMatrix, tol: Tolerances):
+def _kak_locals(gate: GateMatrix):
     """One KAK decomposition into unsplit 4x4 locals: (left, core, right, lam).
 
     left . G(core) . right reproduces gate up to a global phase, which
@@ -355,12 +355,12 @@ def _kak_locals(gate: GateMatrix, tol: Tolerances):
     the right local; recover the left local by division; fold the raw
     core into the chamber, compensating with single-qubit fix-ups.
     """
-    u = su4_normalize(gate, tol=tol).matrix
+    u = su4_normalize(gate).matrix
 
     q = MAGIC_FRAME
     ub = q.conj().T @ u @ q
     m = ub.T @ ub
-    pairs, frame = eig_commuting_symmetric_pair(m.real, m.imag, tol=tol)
+    pairs, frame = eig_commuting_symmetric_pair(m.real, m.imag)
     if np.linalg.det(frame) < 0:
         frame = frame.copy()
         frame[:, 0] = -frame[:, 0]
@@ -413,7 +413,7 @@ def kak_decompose(g, tol: Tolerances = DEFAULT_TOLERANCES) -> KakFactors:
     dressed-circuit residual stand in for these checks.
     """
     gate = as_gate(g, tol=tol)
-    left, core, right, lam = _kak_locals(gate, tol)
+    left, core, right, lam = _kak_locals(gate)
 
     q = MAGIC_FRAME
     core_check = np.abs(
@@ -424,8 +424,8 @@ def kak_decompose(g, tol: Tolerances = DEFAULT_TOLERANCES) -> KakFactors:
             f"eigenphases do not assemble into a canonical core ({core_check:.3e})"
         )
 
-    a1, b1 = split_local(left, tol=tol)
-    a2, b2 = split_local(right, tol=tol)
+    a1, b1 = split_local(left)
+    a2, b2 = split_local(right)
 
     # the SU(2) splits fix each factor only up to a joint sign, so read
     # the global phase off the overlap with the input instead of

@@ -67,19 +67,23 @@ def local_invariants(g, tol: Tolerances = DEFAULT_TOLERANCES) -> LocalInvariants
         g2 = (tr^2[m] - tr[m^2]) / (4 det U)
 
     g2 is real for any unitary input; its residual imaginary part is
-    checked against ``tol.comparison`` and dropped.
+    checked against 1e-8 and dropped.
     """
     gate = as_gate(g, tol=tol)
-    return _gram_invariants(m_matrix(gate), np.linalg.det(gate.matrix), tol)
+    return _gram_invariants(m_matrix(gate), np.linalg.det(gate.matrix))
 
 
-def _gram_invariants(m, det, tol: Tolerances = DEFAULT_TOLERANCES) -> LocalInvariants:
+# a gate is projected onto the unitaries on entry, so Im g2 is rounding
+_G2_IMAG_TOL = 1e-8
+
+
+def _gram_invariants(m, det) -> LocalInvariants:
     """(g1, g2) from a Gram matrix m and the determinant of its gate."""
     tr = np.trace(m)
     tr2 = np.trace(m @ m)
     g1 = tr**2 / (16.0 * det)
     g2 = (tr**2 - tr2) / (4.0 * det)
-    if abs(g2.imag) > tol.comparison:
+    if abs(g2.imag) > _G2_IMAG_TOL:
         raise ValueError(f"g2 has non-real value {g2:.6g}; input is not unitary enough")
     return LocalInvariants(complex(g1), float(g2.real))
 

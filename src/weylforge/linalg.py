@@ -44,16 +44,10 @@ for _p in PAULIS:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Central numerical tolerances.
-
-    unitarity    max |U+U - I| entry allowed when accepting a gate
-    diagonality  max off-diagonal entry after simultaneous diagonalization
-    comparison   general matrix/scalar comparison slack
-    """
+    """The settable tolerance: unitarity, the max |U+U - I| entry
+    allowed when accepting a gate."""
 
     unitarity: float = 1e-9
-    diagonality: float = 1e-9
-    comparison: float = 1e-8
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -169,10 +163,14 @@ def su4_normalize(g, tol: Tolerances = DEFAULT_TOLERANCES) -> GateMatrix:
 
 
 # weights r = tan(m pi / 7) of X + r Y, tried in order; see the Notes below
-_MIX_WEIGHTS = tuple(float(np.tan(m * np.pi / 7)) for m in (1, 2, 3, 0, -1, -2, -3))
+_MIX_WEIGHTS = tuple(float(np.tan(m * np.pi / 7)) for m in (1, 2, 3, 0))
+# a weight that separates every eigenpair leaves rounding, far below this
+_DIAGONALITY_TOL = 1e-9
+# symmetry and Kronecker residuals: rounding on the package's unitary inputs
+_RESIDUAL_TOL = 1e-8
 
 
-def eig_commuting_symmetric_pair(x, y, tol: Tolerances = DEFAULT_TOLERANCES):
+def eig_commuting_symmetric_pair(x, y):
     """Simultaneously diagonalize two commuting real symmetric 4x4 matrices.
 
     Parameters
@@ -186,26 +184,27 @@ def eig_commuting_symmetric_pair(x, y, tol: Tolerances = DEFAULT_TOLERANCES):
         transformed matrices.
     frame : (4, 4) ndarray
         Real orthogonal O with O.T @ X @ O and O.T @ Y @ O diagonal
-        within ``tol.diagonality``.
+        within 1e-9.
 
     Notes
     -----
     ``numpy.linalg.eigh`` of X + r Y (Tucci, quant-ph/0507171) for each r
     in ``_MIX_WEIGHTS`` in turn, until the off-diagonal residual is within
-    ``tol.diagonality``.  Eigenpairs that differ by |d| (sin b, -cos b)
-    lie |d| sqrt(1 + r^2) |sin(b - atan r)| apart in X + r Y, so eigh
+    1e-9.  Eigenpairs that differ by |d| (sin b, -cos b) lie
+    |d| sqrt(1 + r^2) |sin(b - atan r)| apart in X + r Y, so eigh
     separates them to rounding unless atan r is near b (mod pi).  The
-    angles atan r = m pi/7 are pi/7 apart, so one of the seven keeps all
-    six differences at least pi/14 away.  Gram pairs (cos t, sin t) have
-    b = +-2 c_k, so each canonical coordinate rules out m and -m together,
-    and the first four weights (m = 1, 2, 3, 0) suffice.
+    angles m pi/7 are pi/7 apart, so each b comes within pi/14 of at most
+    one m.  Gram pairs (cos t, sin t) have b = +-2 c_k, so each canonical
+    coordinate rules out at most one class {m, -m} of the four {0},
+    {+-1}, {+-2}, {+-3}; one class is left, and the weights m = 1, 2, 3, 0
+    keep all six differences at least pi/14 away at one of them.
     """
     X = np.array(x, dtype=float)
     Y = np.array(y, dtype=float)
     if X.shape != (4, 4) or Y.shape != (4, 4):
         raise ValueError("inputs must be 4x4")
     sym = max(np.abs(X - X.T).max(), np.abs(Y - Y.T).max())
-    if sym > tol.comparison:
+    if sym > _RESIDUAL_TOL:
         raise ValueError(f"inputs are not symmetric (residual {sym:.3e})")
     comm = np.abs(X @ Y - Y @ X).max()
     if comm > 1e-8:
@@ -218,7 +217,7 @@ def eig_commuting_symmetric_pair(x, y, tol: Tolerances = DEFAULT_TOLERANCES):
         _, frame = np.linalg.eigh(X + r * Y)
         d = frame.T @ np.stack([X, Y]) @ frame
         offs.append(np.abs(d * (1 - np.eye(4))).max())
-        if offs[-1] <= tol.diagonality:
+        if offs[-1] <= _DIAGONALITY_TOL:
             return np.column_stack([d[0].diagonal(), d[1].diagonal()]), frame
     raise ConsistencyError(
         f"joint diagonalization failed: off-diagonal residual {min(offs):.3e} "
@@ -226,7 +225,7 @@ def eig_commuting_symmetric_pair(x, y, tol: Tolerances = DEFAULT_TOLERANCES):
     )
 
 
-def split_local(m, tol: Tolerances = DEFAULT_TOLERANCES):
+def split_local(m):
     """Factor a local 4x4 unitary into SU(2) tensor factors.
 
     Given m = a (x) b (up to the joint sign ambiguity), returns 2x2
@@ -235,8 +234,7 @@ def split_local(m, tol: Tolerances = DEFAULT_TOLERANCES):
     reshuffling m so that kron() becomes an outer product reduces the
     problem to the leading singular vector pair.
 
-    Raises ConsistencyError if m is not a Kronecker product within
-    ``tol.comparison``.
+    Raises ConsistencyError if m is not a Kronecker product within 1e-8.
     """
     M = np.asarray(m, dtype=complex)
     R = M.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
@@ -251,7 +249,7 @@ def split_local(m, tol: Tolerances = DEFAULT_TOLERANCES):
     a = a / z
     b = b * z
     residual = np.abs(kron2(a, b) - M).max()
-    if residual > tol.comparison:
+    if residual > _RESIDUAL_TOL:
         raise ConsistencyError(
             f"matrix is not a Kronecker product (residual {residual:.3e})"
         )

@@ -30,11 +30,14 @@ feasible on one closed interval of phi:
 
 Both contain phi = pi/8 (the B gate), so `--phi auto` means pi/8, and
 their union |c3|/2 <= phi <= pi/4 - |c3|/2 depends on c3 alone.
-phi = 0 and phi = pi/4 are never admissible.  feasible_phi_intervals
-returns the two intervals, feasible_phi_profile tests a phi grid
-against them, and infeasibility_reasons (and the message of
-InfeasibleSynthesisError) names the condition each branch violates at
-one phi and by how much.
+phi = 0 and phi = pi/4 are never admissible.  Feasibility is decided
+once, in _branch_roots, by these intervals widened by 1e-12 rad
+(invariants._CHAMBER_SLACK), since a chamber point read off a matrix
+can sit an ulp from the printed one.  A phi admitted just outside an
+end is solved at that end, and its candidate must still pass the class
+test, or synthesis raises "none of N candidates verified".
+infeasibility_reasons says how far phi lies outside each excluded
+branch's interval and which condition it violates.
 
 Inverse cosines give a0 in [0, pi/4] and b0 in [0, pi/2].  The signed
 matching equation cos 2a sin 2b sin 4phi = sin 2c2 sin 2c3 then fixes
@@ -59,7 +62,7 @@ from .linalg import (
     rot_z,
     split_local,
 )
-from .invariants import invariants_from_coords
+from .invariants import _CHAMBER_SLACK, invariants_from_coords
 from .canonical import (
     _SAME_CLASS_TOL,
     QUARTER,
@@ -186,55 +189,54 @@ def _admissible_phi(p) -> float:
     return phi
 
 
+def _intervals(c2: float, c3: float) -> list:
+    """[(branch, lo, hi), ...] of the chamber point (., c2, c3)."""
+    return [("sols1", abs(c3) / 2, QUARTER - c2 / 2), ("sols2", c2 / 2, QUARTER - abs(c3) / 2)]
+
+
+def _within(phi: float, lo: float, hi: float) -> bool:
+    """The feasibility decision: phi in [lo, hi] widened by the chamber slack."""
+    return lo - _CHAMBER_SLACK <= phi <= hi + _CHAMBER_SLACK
+
+
 def _branch_roots(phi: float, c2: float, c3: float):
     """Feasible (branch, a0, b0) triples, and why each other branch fails.
 
-    Returns (roots, failures): roots holds one triple per feasible
-    branch, failures one line per infeasible branch naming the violated
-    condition and its value, e.g. "sols1: cos 2b = -1.37 outside
-    [-1, 1] by 0.37".  phi is feasible for the target exactly when
-    roots is non-empty.
+    A branch has a root exactly when _within admits phi; a phi just
+    outside an end is solved at that end, where both conditions hold at
+    once (clipping each arccos argument alone leaves small-c3 classes
+    1e-6 off).  A failure line names how far phi lies outside the
+    interval, after the condition it violates where rounding leaves
+    one: "sols1: cos 2b = -49.2 outside [-1, 1] by 48.2, phi lies 0.343
+    below its interval".
     """
-    one_minus_k = 2.0 * np.sin(2 * phi) ** 2  # 1 - cos 4phi, exact near phi = 0
     # (1 + A)(1 - B) and (1 - A)(1 + B) in half angles, which stay
     # accurate where the cosines would cancel near the interval ends
     sols1 = 4.0 * (np.cos(c2) * np.sin(c3)) ** 2
     sols2 = 4.0 * (np.sin(c2) * np.cos(c3)) ** 2
-    tan_sq = np.tan(2 * phi) ** 2
     roots = []
     failures = []
-    for branch, v, opposite in (("sols1", sols1, sols2), ("sols2", sols2, sols1)):
+    branches = zip(_intervals(c2, c3), (sols1, sols2), (sols2, sols1))
+    for (branch, lo, hi), v, opposite in branches:
+        admitted = _within(phi, lo, hi)
+        at = min(max(phi, lo), hi) if admitted else phi
+        one_minus_k = 2.0 * np.sin(2 * at) ** 2  # 1 - cos 4phi, exact near phi = 0
         cos2b = 1.0 - v / one_minus_k
-        if not -1.0 - 1e-9 <= cos2b <= 1.0 + 1e-9:
-            failures.append(
-                f"{branch}: cos 2b = {cos2b:.6g} outside [-1, 1] "
-                f"by {abs(cos2b) - 1.0:.3g}"
-            )
-            continue
-        b0 = 0.5 * np.arccos(np.clip(cos2b, -1.0, 1.0))
         den = 2.0 * one_minus_k - v  # (1 + cos 2b)(1 - k)
-        if den <= 1e-12 * one_minus_k:
-            # cos 2b = -1 makes the a-rotations cancel; feasible only
-            # when the opposite root contributes nothing
-            leak = opposite * tan_sq
-            if leak <= 1e-9:
-                roots.append((branch, 0.0, float(b0)))
-            else:
-                failures.append(
-                    f"{branch}: cos 2b = -1 needs (opposite root) "
-                    f"tan^2 2phi = 0, got {leak:.3g}"
-                )
+        # cos 2b = -1 makes the a-rotations cancel: 0/0, read as a = 0
+        cos2a_sq = 1.0 if den <= 1e-12 * one_minus_k else opposite * np.tan(2 * at) ** 2 / den
+        if admitted:
+            b0 = 0.5 * np.arccos(np.clip(cos2b, -1.0, 1.0))
+            a0 = 0.5 * np.arccos(np.sqrt(np.clip(cos2a_sq, 0.0, 1.0)))
+            roots.append((branch, float(a0), float(b0)))
             continue
-        cos2a_sq = opposite * tan_sq / den
-        if not -1e-9 <= cos2a_sq <= 1.0 + 1e-9:
-            bound = "> 1" if cos2a_sq > 1.0 else "< 0"
-            failures.append(
-                f"{branch}: cos^2 2a = {cos2a_sq:.6g} {bound} "
-                f"by {max(cos2a_sq - 1.0, -cos2a_sq):.3g}"
-            )
-            continue
-        a0 = 0.5 * np.arccos(np.sqrt(np.clip(cos2a_sq, 0.0, 1.0)))
-        roots.append((branch, float(a0), float(b0)))
+        reason = f"{branch}: "
+        if abs(cos2b) > 1.0:
+            reason += f"cos 2b = {cos2b:.6g} outside [-1, 1] by {abs(cos2b) - 1.0:.3g}, "
+        elif cos2a_sq > 1.0:
+            reason += f"cos^2 2a = {cos2a_sq:.6g} > 1 by {cos2a_sq - 1.0:.3g}, "
+        side, by = ("below", lo - phi) if phi < lo else ("above", phi - hi)
+        failures.append(reason + f"phi lies {by:.3g} {side} its interval")
     return roots, failures
 
 
@@ -242,8 +244,8 @@ def infeasibility_reasons(target, p) -> list:
     """Why C[phi] misses the class of target: one line per failing branch.
 
     Empty when both branches are feasible; two lines mean phi cannot
-    reach the target.  Each line names the violated condition of the
-    closed-form solution and its value (see the module docstring).
+    reach the target.  Each line names how far phi lies outside the
+    branch's interval and the violated condition (see _branch_roots).
     """
     phi = _admissible_phi(p)
     c = reduce_to_weyl(target)
@@ -253,16 +255,12 @@ def infeasibility_reasons(target, p) -> list:
 def feasible_phi_intervals(target) -> list:
     """The phi at which each branch reaches the class of target.
 
-    Returns [(branch, lo, hi), ...] for sols1 and sols2: the branch has
-    a root exactly for lo <= phi <= hi (see the module docstring).
-    Both intervals contain pi/8; the ends 0 and pi/4 are never
-    admissible themselves.
+    Returns [(branch, lo, hi), ...] for sols1 and sols2; synthesis
+    admits a branch within 1e-12 rad of its interval (see the module
+    docstring).  Both contain pi/8; 0 and pi/4 are never admissible.
     """
     _, c2, c3 = reduce_to_weyl(target)
-    return [
-        ("sols1", abs(c3) / 2, QUARTER - c2 / 2),
-        ("sols2", c2 / 2, QUARTER - abs(c3) / 2),
-    ]
+    return _intervals(c2, c3)
 
 
 def spe_params(p, target) -> list:
@@ -270,8 +268,9 @@ def spe_params(p, target) -> list:
 
     One solution per feasible branch, in the order (sols1, sols2), with
     a = a0 and b = b0 carrying the sign of c3 (see the module
-    docstring).  The list may be empty (infeasible phi), which is a
-    result, not an error.
+    docstring); a branch is feasible within 1e-12 rad of its interval.
+    The list may be empty (infeasible phi), which is a result, not an
+    error.
     """
     phi = _admissible_phi(p)
     c = reduce_to_weyl(target)
@@ -316,7 +315,7 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
     shape = np.shape(target)
     if shape == (4, 4):
         gate = as_gate(target, tol=tol)
-        a1, chamber, a2, _ = _kak_locals(gate, tol)
+        a1, chamber, a2, _ = _kak_locals(gate)
     elif shape == (3,):
         gate = None
         chamber = reduce_to_weyl(target)
@@ -339,7 +338,7 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
         else:
             # the core product M = e^{ib} P1 G(inner) P2 names the target's
             # class directly, or from the other side of the face c1 = pi/4
-            p1, inner, p2, _ = _kak_locals(core_m, tol)
+            p1, inner, p2, _ = _kak_locals(core_m)
             how = _class_match(inner, chamber, _SAME_CLASS_TOL)
             if how is not None:
                 break
@@ -367,8 +366,8 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
     # with the target g = e^{ig} A1 G(chamber) A2 and M = e^{ib} P1 G(chamber) P2,
     #   g = e^{i(g-b)} (A1 P1+) M (P2+ A2)
     # where the phase is read off the overlap with g
-    lead_top, lead_bottom = split_local(p2.conj().T @ a2, tol=tol)
-    trail_top, trail_bottom = split_local(a1 @ p1.conj().T, tol=tol)
+    lead_top, lead_bottom = split_local(p2.conj().T @ a2)
+    trail_top, trail_bottom = split_local(a1 @ p1.conj().T)
     # the circuit's own product, multiplied as _product multiplies it
     lead, trail = kron2(lead_top, lead_bottom), kron2(trail_top, trail_bottom)
     recon = trail @ (cphi @ (mid @ (cphi @ lead)))
@@ -418,9 +417,9 @@ _SPECIAL_CLASSES = {
 def special_circuit(kind: str, p) -> Circuit:
     """Two-application circuits for the CNOT and DCNOT classes.
 
-    The generic circuit on the paper's branch, valid on that branch's
-    feasible interval inside (0, pi/4); as in every synthesis, phi
-    within 1e-12 of either end raises UnsupportedPhiError:
+    The generic circuit on the paper's branch, where spe_params has a
+    root on it (ValueError elsewhere); phi within 1e-12 of 0 or pi/4
+    raises UnsupportedPhiError:
 
     cnot  sols1, (a, b) = (pi/4, 0): the middle layer collapses to
           e^{-i pi/4 sigma_2} (x) e^{-i pi/2 sigma_3}; 0 < phi < pi/4.
@@ -429,16 +428,12 @@ def special_circuit(kind: str, p) -> Circuit:
     if kind not in _SPECIAL_CLASSES:
         raise ValueError(f"unknown special circuit kind {kind!r}")
     target, branch = _SPECIAL_CLASSES[kind]
-    phi = _phi(p)
     chamber = reduce_to_weyl(target)
-    _, lo, hi = next(i for i in feasible_phi_intervals(chamber) if i[0] == branch)
-    if not (lo <= phi <= hi and 0.0 < phi < QUARTER):
-        raise ValueError(
-            f"{kind} circuit needs {lo!r} <= phi <= {hi!r} and 0 < phi < pi/4, "
-            f"got {phi!r}"
-        )
-    (sol,) = [s for s in spe_params(phi, chamber) if s.branch == branch]
-    return _core_circuit(chamber, sol)
+    sols = [s for s in spe_params(p, chamber) if s.branch == branch]
+    if not sols:
+        (why,) = [r for r in infeasibility_reasons(chamber, p) if r.startswith(branch)]
+        raise ValueError(f"no {kind} circuit at phi = {_phi(p)!r}: {why}")
+    return _core_circuit(chamber, sols[0])
 
 
 def feasible_phi_profile(target, grid_size: int) -> list:
@@ -446,14 +441,14 @@ def feasible_phi_profile(target, grid_size: int) -> list:
 
     Returns [(phi, feasible), ...] for grid_size interior points; grid
     endpoints 0 and pi/4 are excluded since they are never admissible.
-    phi is feasible when it lies in one of the feasible_phi_intervals;
-    infeasibility_reasons says which condition fails elsewhere.
+    phi is feasible when synthesis admits a branch there (_within);
+    infeasibility_reasons says why each branch fails elsewhere.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     intervals = feasible_phi_intervals(target)
     grid = [(k + 1) * QUARTER / (grid_size + 1) for k in range(grid_size)]
-    return [(phi, any(lo <= phi <= hi for _, lo, hi in intervals)) for phi in grid]
+    return [(phi, any(_within(phi, lo, hi) for _, lo, hi in intervals)) for phi in grid]
 
 
 # JSON layer encoding: complex entries as [re, im] pairs

@@ -359,6 +359,16 @@ def test_synthesize_infeasible_phi_names_the_violated_condition(capsys):
     assert re.search(r"sols2: cos 2b = -\S+ outside \[-1, 1\] by ", err)
 
 
+def test_synthesize_next_to_pi8_names_the_distance_to_each_interval(capsys):
+    # swap's intervals are the point pi/8 = 0.39269908...; 0.3927 lies
+    # 9.18e-7 above both, where no branch has a root
+    code, _, err = run(capsys, "synthesize", "swap", "--phi", "0.3927")
+    assert code == 1
+    for branch in ("sols1", "sols2"):
+        assert re.search(rf"{branch}: [^;]*phi lies 9.18e-07 above its interval", err)
+    assert "candidates verified" not in err
+
+
 def test_synthesize_auto_synthesizes_once(capsys, monkeypatch):
     # auto goes straight to pi/8: one synthesis, one set of middle-layer
     # solutions, and no feasibility profile on the success path

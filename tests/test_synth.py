@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import numpy as np
@@ -384,15 +385,26 @@ def test_dressed_gates_on_and_near_the_faces_synthesize(face, noise):
             assert np.abs(circuit_matrix(circ).matrix - g.matrix).max() < 1e-7, (c, seed)
 
 
+def _assert_names_the_distance(message, offset):
+    # each branch's line says how far phi lies outside its interval
+    side = "above" if offset > 0 else "below"
+    for branch in ("sols1", "sols2"):
+        assert re.search(
+            rf"{branch}: [^;]*phi lies {abs(offset):.3g} {side} its interval", message
+        ), message
+
+
 @pytest.mark.parametrize("offset", [-1e-6, -1e-7, 1e-7, 1e-6])
 def test_dressed_swap_misses_phi_next_to_pi8(offset):
-    # the candidates _branch_roots admits next to pi/8 miss the class; a
-    # matrix target reports that as infeasible, not as an internal fault
+    # a matrix target next to pi/8 gets no candidate and reports that as
+    # infeasible, not as an internal fault
     for seed in range(5):
         rng = np.random.default_rng([107, seed])
         g = dressed((QUARTER, QUARTER, QUARTER), rng)
-        with pytest.raises(InfeasibleSynthesisError, match="none of 2 candidates verified"):
+        with pytest.raises(InfeasibleSynthesisError) as exc:
             synthesize(g, EIGHTH + offset)
+        assert exc.value.candidates == []
+        _assert_names_the_distance(str(exc.value), offset)
 
 
 def test_swap_is_out_of_reach_away_from_the_b_class():
@@ -492,12 +504,15 @@ def test_feasible_phi_intervals_are_the_branch_roots_property(u, v, w, face):
     assert [branch for branch, _, _ in intervals] == ["sols1", "sols2"]
     # the paper's claim in closed form: pi/8 reaches every class
     assert any(lo <= EIGHTH <= hi for _, lo, hi in intervals)
-    # a phi grid, and 1e-6 to either side of each end
-    ends = [e + d for _, lo, hi in intervals for e in (lo, hi) for d in (-1e-6, 1e-6)]
+    # a phi grid, and 1e-13 to 1e-6 to either side of each end; a branch
+    # has a root exactly within 1e-12 of its interval
+    offsets = (-1e-6, -1e-7, -1e-10, -1e-13, 1e-13, 1e-10, 1e-7, 1e-6)
+    ends = [e + d for _, lo, hi in intervals for e in (lo, hi) for d in offsets]
     for phi in _grid(40) + [e for e in ends if 1e-12 < e < QUARTER - 1e-12]:
         roots = {r[0] for r in _branch_roots(phi, chamber.c2, chamber.c3)[0]}
         for branch, lo, hi in intervals:
-            assert (lo <= phi <= hi) == (branch in roots), (chamber, phi, branch)
+            within = lo - 1e-12 <= phi <= hi + 1e-12
+            assert within == (branch in roots), (chamber, phi, branch)
 
 
 def test_feasible_phi_intervals_of_the_named_classes():
@@ -519,14 +534,35 @@ def test_feasible_phi_intervals_of_the_named_classes():
 
 
 def test_swap_misses_phi_next_to_pi8():
-    # pi/8 is a double root for swap, so the 1e-9 slack of _branch_roots
-    # admits roots for a few 1e-6 around it; their circuits miss the
-    # class, and synthesis agrees with the interval
+    # both of swap's intervals are the point pi/8, so 1e-7 or 1e-6 from it
+    # no branch has a root, and the error says how far phi lies outside
     swap = (QUARTER, QUARTER, QUARTER)
-    for phi in (EIGHTH - 1e-6, EIGHTH - 1e-7, EIGHTH + 1e-7, EIGHTH + 1e-6):
-        assert _branch_roots(phi, QUARTER, QUARTER)[0]
-        with pytest.raises(InfeasibleSynthesisError, match="none of 2 candidates verified"):
-            synthesize(swap, phi)
+    for offset in (-1e-6, -1e-7, 1e-7, 1e-6):
+        assert spe_params(EIGHTH + offset, swap) == []
+        with pytest.raises(InfeasibleSynthesisError) as exc:
+            synthesize(swap, EIGHTH + offset)
+        _assert_names_the_distance(str(exc.value), offset)
+
+
+def test_every_interval_end_synthesizes():
+    # the ends are where the closed form is most sensitive, above all for
+    # small |c3| and near the identity, where a matrix's chamber point
+    # can sit an ulp outside the planted class's end: there the admitted
+    # root must build a circuit that verifies, for a coordinate target
+    # and for a dressed matrix of the class alike
+    rng = np.random.default_rng(108)
+    classes = [chamber_point(rng) for _ in range(40)] + boundary_classes(rng, 2)
+    for _ in range(40):
+        c1, c2, c3 = chamber_point(rng)
+        classes.append((c1, c2, c3 * 10.0 ** rng.uniform(-9, 0)))
+    classes.append((2.09e-3, 1.28e-5, 1.28e-5))
+    for c in classes:
+        ends = [(lo, lo + 1e-13, hi, hi - 1e-13) for _, lo, hi in feasible_phi_intervals(c)]
+        for phi in [e for e in sum(ends, ()) if 1e-12 < e < QUARTER - 1e-12]:
+            assert verify_equivalence(synthesize(c, phi), c), (c, phi)
+            g = GateMatrix(dressed(c, rng))
+            circ = synthesize(g, phi)
+            assert np.abs(circuit_matrix(circ).matrix - g.matrix).max() < 1e-7, (c, phi)
 
 
 def _enumerated_choice(target, phi):
