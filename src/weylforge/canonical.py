@@ -19,6 +19,7 @@ chamber, recovers coordinates from a matrix, and performs the full
 decomposition.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -31,6 +32,7 @@ from .linalg import (
     ConsistencyError,
     GateMatrix,
     Tolerances,
+    _memoize,
     _trusted_gate,
     as_gate,
     eig_commuting_symmetric_pair,
@@ -267,7 +269,11 @@ _AXIS_ROT = (rot_x, rot_y, rot_z)
 def _chamber_locals(cprime, K, pat, perm):
     """Locals (La, Lb, Ra, Rb), phase, and final triple realizing
 
-        G(cprime) = e^{i phase} (La (x) Lb) G(final) (Ra (x) Rb).
+        G(cprime) = e^{i phase} (La (x) Lb) G(final) (Ra (x) Rb)
+
+    for the fold element (K, pat, perm).  The locals do not depend on
+    cprime; the table _fixup_products holds their Kronecker products,
+    built by this function once per element.
     """
     eye = np.eye(2, dtype=complex)
     La, Lb, Ra, Rb = eye, eye, eye, eye
@@ -323,15 +329,23 @@ def extract_coordinates(g, tol: Tolerances = DEFAULT_TOLERANCES) -> CanonicalCoo
     two coordinates by pi/2, both of which the fold absorbs.  On the
     face c1 = pi/4 the fold returns c3 >= 0.  The result is
     cross-checked against the gate's local invariants, read off the same
-    Gram matrix (det = 1 after normalization).
+    Gram matrix (det = 1 after normalization).  A GateMatrix keeps the
+    reading, so local_invariants and is_perfect_entangler on the same
+    gate read nothing again.
     """
     return _read_class(g, tol)[1]
 
 
 def _read_class(g, tol: Tolerances):
-    """(invariants, coordinates) of g off one Gram matrix; see extract_coordinates."""
-    m = m_matrix(su4_normalize(g, tol=tol))
-    target = _gram_invariants(m, 1.0)
+    """(invariants, coordinates) of g off one Gram matrix; see extract_coordinates.
+
+    Memoized on the gate (GateMatrix._reading): a gate's class is read once.
+    """
+    gate = as_gate(g, tol=tol)
+    if gate._reading is not None:
+        return gate._reading
+    m = m_matrix(su4_normalize(gate))
+    target = _gram_invariants(m)
     l1, l2, _, l4 = -np.angle(np.linalg.eigvals(m)) / 2.0
     rep = reduce_to_weyl(((l1 + l4) / 2, (l2 + l4) / 2, (l1 + l2) / 2))
     got = invariants_from_coords(rep)
@@ -339,7 +353,25 @@ def _read_class(g, tol: Tolerances):
         raise ConsistencyError(
             f"coordinates {tuple(rep)} do not reproduce the gate invariants"
         )
-    return target, rep
+    return _memoize(gate, "_reading", (target, rep))
+
+
+@functools.cache
+def _fixup_products(k4, pat, perm):
+    """(kron2(La, Lb), kron2(Ra, Rb)) of _chamber_locals for one fold element.
+
+    The locals depend on the group element alone, and on each shift K
+    only through K mod 4 (the power of i sigma_i), so the key is
+    (K mod 4, pat, perm): 64 x 4 x 6 = 1,536 entries at most, filled as
+    folds reach them.  A raw core from _kak_locals has |K| <= 3, so
+    K mod 4 is 0 exactly when K is, and the products are the bits
+    _chamber_locals gives for K itself.  Both are read-only.
+    """
+    (la, lb, ra, rb), _, _ = _chamber_locals((0.0, 0.0, 0.0), k4, pat, perm)
+    left, right = kron2(la, lb), kron2(ra, rb)
+    left.setflags(write=False)
+    right.setflags(write=False)
+    return left, right
 
 
 def _kak_locals(gate: GateMatrix):
@@ -353,8 +385,17 @@ def _kak_locals(gate: GateMatrix):
     parts commute; diagonalize both parts in one real orthogonal frame;
     read the eigenphases lam, giving the raw core, and the frame, giving
     the right local; recover the left local by division; fold the raw
-    core into the chamber, compensating with single-qubit fix-ups.
+    core into the chamber, compensating with the fold element's
+    single-qubit fix-ups, whose products come from the table
+    _fixup_products.  The fold's bookkeeping is checked within 1e-10:
+    (pat * (raw + K pi/2))[perm] must be the folded point.
+
+    Memoized on the gate (GateMatrix._kak), with read-only arrays:
+    synthesize, kak_decompose and witness_basis_for_gate share one
+    decomposition of a gate.
     """
+    if gate._kak is not None:
+        return gate._kak
     u = su4_normalize(gate).matrix
 
     q = MAGIC_FRAME
@@ -384,13 +425,14 @@ def _kak_locals(gate: GateMatrix):
     a_left = q @ o1 @ q.conj().T
     a_right = q @ o2 @ q.conj().T
 
-    raw = _raw_core(lam)
-    cand, ops = _reduce_with_ops(raw)
-    (la, lb, ra, rb), _, cur = _chamber_locals(raw, *ops)
-    if np.abs(cur - np.asarray(cand)).max() > 1e-10:
+    raw = _raw_core(lam).tolist()
+    cand, (K, pat, perm) = _reduce_with_ops(raw)
+    moved = [pat[i] * (raw[i] + K[i] * HALF) for i in perm]
+    if max(abs(x - y) for x, y in zip(moved, cand)) > 1e-10:
         raise ConsistencyError("chamber fix-up bookkeeping mismatch")
+    left, right = _fixup_products(tuple(k % 4 for k in K), pat, perm)
     core = _snap_to_chamber(cand)
-    return a_left @ kron2(la, lb), core, kron2(ra, rb) @ a_right, lam
+    return _memoize(gate, "_kak", (a_left @ left, core, right @ a_right, lam))
 
 
 def _raw_core(lam) -> np.ndarray:
@@ -410,7 +452,8 @@ def kak_decompose(g, tol: Tolerances = DEFAULT_TOLERANCES) -> KakFactors:
     split into SU(2) tensor factors; and the factors must reassemble
     into the input within 1e-6, with the global phase read off their
     overlap.  synthesize calls _kak_locals directly and lets its own
-    dressed-circuit residual stand in for these checks.
+    dressed-circuit residual stand in for these checks; both share the
+    decomposition memoized on a GateMatrix.
     """
     gate = as_gate(g, tol=tol)
     left, core, right, lam = _kak_locals(gate)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOLERANCES, Tolerances, GateMatrix, kron2, rot_y, rot_z
 from .invariants import _CHAMBER_SLACK, is_perfect_entangler
-from .canonical import QUARTER, CanonicalCoords, _read_class, extract_coordinates
+from .canonical import QUARTER, CanonicalCoords, _kak_locals, _read_class
 from .entangle import entangling_power_closed, entangling_power_mc
 from .spe import is_spe
 from .synth import (
@@ -182,7 +182,9 @@ def _cmd_synthesize(args) -> int:
         raise _CliError(2, "give exactly one target: a gate file/name or --coords")
     if args.gate is not None:
         _, target = _load_gate(args.gate, Tolerances(unitarity=args.tolerance))
-        chamber = extract_coordinates(target)
+        # the point synthesis decides on: its decomposition core, memoized
+        # on the gate, so synthesize reuses it and the gate is read once
+        chamber = _kak_locals(target)[1]
     else:
         target = chamber = _parse_coords(args.coords)
 

@@ -66,23 +66,28 @@ def local_invariants(g, tol: Tolerances = DEFAULT_TOLERANCES) -> LocalInvariants
         g1 = tr^2[m] / (16 det U)
         g2 = (tr^2[m] - tr[m^2]) / (4 det U)
 
-    g2 is real for any unitary input; its residual imaginary part is
-    checked against 1e-8 and dropped.
+    read off the determinant-normalized gate (det U = 1): these are the
+    invariants of canonical.extract_coordinates' class reading, which
+    cross-checks them against the chamber point and is memoized on the
+    gate.  g2 is real for any unitary input; its residual imaginary part
+    is checked against 1e-8 and dropped.
     """
-    gate = as_gate(g, tol=tol)
-    return _gram_invariants(m_matrix(gate), np.linalg.det(gate.matrix))
+    # canonical imports this module, so import it at call time
+    from .canonical import _read_class
+
+    return _read_class(g, tol)[0]
 
 
 # a gate is projected onto the unitaries on entry, so Im g2 is rounding
 _G2_IMAG_TOL = 1e-8
 
 
-def _gram_invariants(m, det) -> LocalInvariants:
-    """(g1, g2) from a Gram matrix m and the determinant of its gate."""
+def _gram_invariants(m) -> LocalInvariants:
+    """(g1, g2) from the Gram matrix m of a gate with determinant 1."""
     tr = np.trace(m)
     tr2 = np.trace(m @ m)
-    g1 = tr**2 / (16.0 * det)
-    g2 = (tr**2 - tr2) / (4.0 * det)
+    g1 = tr**2 / 16.0
+    g2 = (tr**2 - tr2) / 4.0
     if abs(g2.imag) > _G2_IMAG_TOL:
         raise ValueError(f"g2 has non-real value {g2:.6g}; input is not unitary enough")
     return LocalInvariants(complex(g1), float(g2.real))

@@ -5,7 +5,8 @@ single-qubit operators and 4x4 blocks for two-qubit gates (row-major,
 basis order |00>, |01>, |10>, |11>, qubit 0 = first tensor factor).
 This module holds the shared kernel: the ``GateMatrix`` wrapper, which
 checks a raw array once where it enters and stores the nearest unitary,
-so every later step trusts it; Kronecker composition, SU(4)
+so every later step trusts it, and which memoizes the two readings of
+its class that the other modules take; Kronecker composition, SU(4)
 normalization, the simultaneous diagonalizer for a commuting pair of
 real symmetric matrices, and the Kronecker-factor splitter.
 """
@@ -70,9 +71,20 @@ class GateMatrix:
     unitary, the polar factor W V+ of the SVD U = W S V+.
     ``unitarity_residual`` is the input's residual before projection;
     gates built in closed form carry their source's, or 0.0.
+
+    Two private slots memoize what the package reads off the gate, each
+    filled on first use: ``_reading``, the class reading of
+    ``canonical._read_class`` (invariants and chamber point, one Gram
+    matrix), and ``_kak``, the decomposition of ``canonical._kak_locals``
+    (left, core, right, lam; one joint eigensolve).  Classifying a gate
+    and synthesizing it, or decomposing it, then share that work.  The
+    memo cannot go stale: the gate is immutable and its matrix is
+    read-only, and the cached arrays are read-only too.  Two threads
+    that race to fill a slot compute the same value, so no lock is
+    needed.
     """
 
-    __slots__ = ("matrix", "unitarity_residual")
+    __slots__ = ("matrix", "unitarity_residual", "_reading", "_kak")
     # np.shape reads this rather than converting the gate to an array
     shape = (4, 4)
 
@@ -105,7 +117,18 @@ def _set_slots(gate: GateMatrix, m: np.ndarray, residual: float) -> GateMatrix:
     m.setflags(write=False)
     object.__setattr__(gate, "matrix", m)
     object.__setattr__(gate, "unitarity_residual", residual)
+    object.__setattr__(gate, "_reading", None)
+    object.__setattr__(gate, "_kak", None)
     return gate
+
+
+def _memoize(gate: GateMatrix, slot: str, value: tuple) -> tuple:
+    """Fill one of gate's memo slots with value, its arrays made read-only."""
+    for part in value:
+        if isinstance(part, np.ndarray):
+            part.setflags(write=False)
+    object.__setattr__(gate, slot, value)
+    return value
 
 
 def _trusted_gate(m: np.ndarray, residual: float) -> GateMatrix:

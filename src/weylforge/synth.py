@@ -46,6 +46,7 @@ non-negative, so b takes the sign of c3.  That leaves one solution per
 feasible branch (-a0 gives the same class, pi/2 +- a0 needs the opposite b).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,8 @@ from .canonical import (
     _SAME_CLASS_TOL,
     QUARTER,
     CanonicalCoords,
-    _chamber_locals,
     _class_match,
+    _fixup_products,
     _kak_locals,
     _read_class,
     reduce_to_weyl,
@@ -212,32 +213,39 @@ def _branch_roots(phi: float, c2: float, c3: float):
     """
     # (1 + A)(1 - B) and (1 - A)(1 + B) in half angles, which stay
     # accurate where the cosines would cancel near the interval ends
-    sols1 = 4.0 * (np.cos(c2) * np.sin(c3)) ** 2
-    sols2 = 4.0 * (np.sin(c2) * np.cos(c3)) ** 2
+    sols1 = 4.0 * (math.cos(c2) * math.sin(c3)) ** 2
+    sols2 = 4.0 * (math.sin(c2) * math.cos(c3)) ** 2
     roots = []
     failures = []
     branches = zip(_intervals(c2, c3), (sols1, sols2), (sols2, sols1))
     for (branch, lo, hi), v, opposite in branches:
         admitted = _within(phi, lo, hi)
         at = min(max(phi, lo), hi) if admitted else phi
-        one_minus_k = 2.0 * np.sin(2 * at) ** 2  # 1 - cos 4phi, exact near phi = 0
+        one_minus_k = 2.0 * math.sin(2 * at) ** 2  # 1 - cos 4phi, exact near phi = 0
         cos2b = 1.0 - v / one_minus_k
         den = 2.0 * one_minus_k - v  # (1 + cos 2b)(1 - k)
         # cos 2b = -1 makes the a-rotations cancel: 0/0, read as a = 0
         cos2a_sq = 1.0 if den <= 1e-12 * one_minus_k else opposite * np.tan(2 * at) ** 2 / den
         if admitted:
-            b0 = 0.5 * np.arccos(np.clip(cos2b, -1.0, 1.0))
-            a0 = 0.5 * np.arccos(np.sqrt(np.clip(cos2a_sq, 0.0, 1.0)))
+            b0 = 0.5 * np.arccos(min(max(cos2b, -1.0), 1.0))
+            a0 = 0.5 * np.arccos(math.sqrt(min(max(cos2a_sq, 0.0), 1.0)))
             roots.append((branch, float(a0), float(b0)))
             continue
         reason = f"{branch}: "
         if abs(cos2b) > 1.0:
-            reason += f"cos 2b = {cos2b:.6g} outside [-1, 1] by {abs(cos2b) - 1.0:.3g}, "
+            reason += f"cos 2b = {_past_one(cos2b)} outside [-1, 1] by {abs(cos2b) - 1.0:.3g}, "
         elif cos2a_sq > 1.0:
-            reason += f"cos^2 2a = {cos2a_sq:.6g} > 1 by {cos2a_sq - 1.0:.3g}, "
+            reason += f"cos^2 2a = {_past_one(cos2a_sq)} > 1 by {cos2a_sq - 1.0:.3g}, "
         side, by = ("below", lo - phi) if phi < lo else ("above", phi - hi)
         failures.append(reason + f"phi lies {by:.3g} {side} its interval")
     return roots, failures
+
+
+def _past_one(x) -> str:
+    """x, of magnitude above 1, to 6 digits; in full where 6 digits would
+    round it onto the bound and the line would read "= 1 > 1"."""
+    text = f"{x:.6g}"
+    return repr(float(x)) if abs(float(text)) == 1.0 else text
 
 
 def infeasibility_reasons(target, p) -> list:
@@ -359,10 +367,10 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
 
     if how == "mirror":
         # the fold's fix-ups give G(inner) = e^{it} (la (x) lb) G(m)
-        # (ra (x) rb) with m = (pi/2 - c1, c2, -c3), the target's point
-        mirror = ((-1, 0, 0), (-1, 1, -1), (0, 1, 2))
-        (la, lb, ra, rb), _, _ = _chamber_locals(inner, *mirror)
-        p1, p2 = p1 @ kron2(la, lb), kron2(ra, rb) @ p2
+        # (ra (x) rb) with m = (pi/2 - c1, c2, -c3), the target's point,
+        # for the fold element K = (-1, 0, 0) (key 3 mod 4), pat (-1, 1, -1)
+        left, right = _fixup_products((3, 0, 0), (-1, 1, -1), (0, 1, 2))
+        p1, p2 = p1 @ left, right @ p2
     # with the target g = e^{ig} A1 G(chamber) A2 and M = e^{ib} P1 G(chamber) P2,
     #   g = e^{i(g-b)} (A1 P1+) M (P2+ A2)
     # where the phase is read off the overlap with g
@@ -455,7 +463,9 @@ def feasible_phi_profile(target, grid_size: int) -> list:
 
 
 def _mat_to_lists(m) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+    # the complex entries viewed as (re, im) float pairs
+    a = np.ascontiguousarray(m, dtype=complex)
+    return a.view(float).reshape(a.shape + (2,)).tolist()
 
 
 def _mat_from_lists(rows) -> np.ndarray:

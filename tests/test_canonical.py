@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import weylforge.canonical as canonical
 from weylforge import (
+    DEFAULT_TOLERANCES,
     CanonicalCoords,
     ConsistencyError,
+    GateMatrix,
     canonical_gate,
     coords_equivalent,
     extract_coordinates,
@@ -452,3 +454,37 @@ def test_kak_reassembles_the_named_gates(name):
         )
         assert np.abs(recon - g).max() < 1e-12
         assert np.abs(np.subtract(f.core, KNOWN_COORDS[name])).max() < 1e-12
+
+
+# ------------------------------------------------------ memo and fix-up table
+
+
+def test_cached_arrays_reject_writes():
+    rng = np.random.default_rng(120)
+    g = GateMatrix(dressed(chamber_point(rng), rng))
+    left, core, right, lam = canonical._kak_locals(g)
+    assert canonical._kak_locals(g)[0] is left
+    for arr in (left, right, lam, *canonical._fixup_products((1, 0, 3), (1, -1, -1), (2, 0, 1))):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # the class reading holds tuples only, and the gate takes no new slot values
+    inv, coords = canonical._read_class(g, DEFAULT_TOLERANCES)
+    assert canonical._read_class(g, DEFAULT_TOLERANCES)[1] is coords
+    with pytest.raises(AttributeError):
+        g._kak = None
+
+
+def test_fixup_table_is_the_product_of_the_chamber_locals():
+    # every key (K mod 4, even sign pattern, permutation) gives bit for
+    # bit the products of _chamber_locals' locals, for K mod 4 and for
+    # the negative shift of the same residue (raw cores have |K| <= 3)
+    patterns = [(1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1)]
+    keys = list(product(product(range(4), repeat=3), patterns, permutations(range(3))))
+    assert len(keys) == 1536
+    for k4, pat, perm in keys:
+        left, right = canonical._fixup_products(k4, pat, perm)
+        for K in (k4, tuple(k - 4 if k else 0 for k in k4)):
+            (la, lb, ra, rb), _, _ = canonical._chamber_locals((0.3, 0.2, 0.1), K, pat, perm)
+            assert left.tobytes() == kron2(la, lb).tobytes(), (K, pat, perm)
+            assert right.tobytes() == kron2(ra, rb).tobytes(), (K, pat, perm)
+    assert canonical._fixup_products.cache_info().currsize == 1536

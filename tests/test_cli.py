@@ -14,6 +14,7 @@ from weylforge import (
     circuit_from_dict,
     circuit_matrix,
     extract_coordinates,
+    kak_decompose,
     local_invariants,
     verify_equivalence,
 )
@@ -493,3 +494,32 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "table")
     _, second, _ = run(capsys, "table")
     assert first == second
+
+
+@pytest.mark.parametrize("phi", ["0.3927", "0.3926990827", "0.39269908", "0.39"])
+def test_failure_lines_never_round_a_violation_onto_its_bound(capsys, phi):
+    # a value past 1 by less than 5e-7 prints in full, not as "= 1 > 1"
+    code, _, err = run(capsys, "synthesize", "swap", "--phi", phi)
+    assert code == 1
+    assert "by " in err
+    assert "= 1 > 1" not in err
+    assert not re.search(r"cos 2b = -?1 outside", err), err
+
+
+def test_synthesize_reads_a_gate_target_once(capsys, monkeypatch):
+    # the echoed target is the chamber point synthesis decided on, the
+    # memoized decomposition core: no class reading, and the diagonalizer
+    # runs for the target and the core product only
+    from test_synth import _count_calls
+
+    counts = _count_calls(
+        monkeypatch, ("canonical._read_class", "linalg.eig_commuting_symmetric_pair")
+    )
+    code, out, _ = run(capsys, "synthesize", "cnot", "--phi", "auto", "--json")
+    assert code == 0
+    assert counts == {
+        "canonical._read_class": 0,
+        "linalg.eig_commuting_symmetric_pair": 2,
+    }
+    core = kak_decompose(weylforge.GateMatrix(NAMED_GATES["cnot"])).core
+    assert json.loads(out)["target"] == [float(v) for v in core]

@@ -1,6 +1,8 @@
+import itertools
 import json
 import re
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from weylforge import (
     feasible_phi_intervals,
     feasible_phi_profile,
     infeasibility_reasons,
+    is_perfect_entangler,
     kak_decompose,
     kron2,
     reduce_to_weyl,
@@ -760,3 +763,77 @@ def test_circuit_serialization_round_trip_is_exact():
     )
     for lay_a, lay_b in zip(circ.layers, back.layers):
         assert type(lay_a) is type(lay_b)
+
+
+# ------------------------------------------------------------ per-gate memo
+
+
+def _gate_outputs(g, order):
+    """The five readings of g, taken in the given order, as comparable bits."""
+    steps = {
+        "coords": lambda: [v.hex() for v in extract_coordinates(g)],
+        "invariants": lambda: repr(local_invariants(g)),
+        "pe": lambda: is_perfect_entangler(g),
+        "circuit": lambda: repr(circuit_to_dict(synthesize(g, EIGHTH))),
+        "kak": lambda: _kak_bits(kak_decompose(g)),
+    }
+    return {name: steps[name]() for name in order}
+
+
+def _kak_bits(f):
+    parts = [m.tobytes() for m in (f.a1, f.b1, f.a2, f.b2)]
+    return parts + [[v.hex() for v in f.core], f.global_phase.hex()]
+
+
+_READINGS = ("coords", "invariants", "pe", "circuit", "kak")
+
+
+def test_one_gate_is_read_once_whatever_the_order(monkeypatch):
+    # classification, synthesis and decomposition of one gate share one
+    # class reading (one Gram matrix) and one decomposition: the target's
+    # eigensolve plus the core product's make 2 diagonalizer calls
+    rng = np.random.default_rng(121)
+    u = dressed(chamber_point(rng), rng)
+    # each reading on a gate of its own: nothing shared
+    want = {name: _gate_outputs(GateMatrix(u), [name])[name] for name in _READINGS}
+    counts = _count_calls(
+        monkeypatch, ("invariants.m_matrix", "linalg.eig_commuting_symmetric_pair")
+    )
+    for order in itertools.permutations(_READINGS):
+        counts.update(dict.fromkeys(counts, 0))
+        got = _gate_outputs(GateMatrix(u), order)
+        assert counts == {
+            "invariants.m_matrix": 1,
+            "linalg.eig_commuting_symmetric_pair": 2,
+        }, order
+        assert got == want, order
+
+
+def test_threads_reading_one_gate_agree():
+    # more threads than cores, switching often, race to fill the memo
+    # slots of one fresh gate; each gets the bits of an unshared reading
+    rng = np.random.default_rng(122)
+    u = dressed(chamber_point(rng), rng)
+    want = _gate_outputs(GateMatrix(u), _READINGS)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            g = GateMatrix(u)
+            start = threading.Barrier(4, timeout=30)
+            results = [None] * 4
+
+            def read(slot, order):
+                start.wait()
+                results[slot] = _gate_outputs(g, order)
+
+            orders = [_READINGS, _READINGS[::-1]] * 2
+            threads = [threading.Thread(target=read, args=(i, o)) for i, o in enumerate(orders)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert results == [want] * 4
+    finally:
+        sys.setswitchinterval(interval)
