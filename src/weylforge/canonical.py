@@ -27,11 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOLERANCES,
     PAULIS,
     ConsistencyError,
     GateMatrix,
-    Tolerances,
     _memoize,
     _trusted_gate,
     as_gate,
@@ -43,7 +41,13 @@ from .linalg import (
     split_local,
     su4_normalize,
 )
-from .invariants import MAGIC_FRAME, _gram_invariants, invariants_from_coords, m_matrix
+from .invariants import (
+    _CHAMBER_SLACK,
+    MAGIC_FRAME,
+    _gram_invariants,
+    invariants_from_coords,
+    m_matrix,
+)
 
 __all__ = [
     "CanonicalCoords",
@@ -147,8 +151,9 @@ def spectral_phases(c) -> SpectralPhases:
     )
 
 
-def in_weyl_chamber(c, tol: float = 1e-12) -> bool:
-    """Chamber predicate pi/4 >= c1 >= c2 >= |c3|, with slack tol."""
+def in_weyl_chamber(c, tol: float = _CHAMBER_SLACK) -> bool:
+    """Chamber predicate pi/4 >= c1 >= c2 >= |c3|, with slack tol radians
+    (default the chamber slack, 1e-12); the package's one settable slack."""
     c1, c2, c3 = _coords(c)
     return c1 <= QUARTER + tol and c1 >= c2 - tol and c2 >= abs(c3) - tol
 
@@ -181,7 +186,7 @@ def _reduce_with_ops(c):
             pat[perm[t]] *= -1
             pat[perm[2]] *= -1
     rep = [pat[i] * vals[i] for i in perm]
-    if rep[0] >= QUARTER - 1e-12 and rep[2] < 0:
+    if rep[0] >= QUARTER - _CHAMBER_SLACK and rep[2] < 0:
         pat[perm[0]] *= -1
         pat[perm[2]] *= -1
         K[perm[0]] += pat[perm[0]]
@@ -234,13 +239,19 @@ def _class_match(a, b, tol: float):
     return None
 
 
-def coords_equivalent(a, b, tol: float = 1e-9) -> bool:
+# two triples of one class fold to points apart by the fold's rounding
+# and the chamber slack, far below this
+_EQUIVALENT_TOL = 1e-9
+
+
+def coords_equivalent(a, b) -> bool:
     """Do two coordinate triples name the same local-equivalence class?
 
-    Compares chamber representatives, across the face c1 = pi/4 too,
-    cross-checked against the closed form invariants of both triples.
+    Compares chamber representatives within 1e-9 rad, across the face
+    c1 = pi/4 too, cross-checked against the closed form invariants of
+    both triples.
     """
-    same_rep = _class_match(reduce_to_weyl(a), reduce_to_weyl(b), tol) is not None
+    same_rep = _class_match(reduce_to_weyl(a), reduce_to_weyl(b), _EQUIVALENT_TOL) is not None
     ia = invariants_from_coords(a)
     ib = invariants_from_coords(b)
     same_inv = abs(ia.g1 - ib.g1) <= 1e-7 and abs(ia.g2 - ib.g2) <= 1e-7
@@ -313,7 +324,7 @@ def _chamber_locals(cprime, K, pat, perm):
     return (La, Lb, Ra, Rb), phase, cur
 
 
-def extract_coordinates(g, tol: Tolerances = DEFAULT_TOLERANCES) -> CanonicalCoords:
+def extract_coordinates(g) -> CanonicalCoords:
     """Chamber coordinates of the class of an arbitrary two-qubit gate.
 
     The magic-frame Gram matrix of the determinant-normalized gate has
@@ -333,15 +344,15 @@ def extract_coordinates(g, tol: Tolerances = DEFAULT_TOLERANCES) -> CanonicalCoo
     reading, so local_invariants and is_perfect_entangler on the same
     gate read nothing again.
     """
-    return _read_class(g, tol)[1]
+    return _read_class(g)[1]
 
 
-def _read_class(g, tol: Tolerances):
+def _read_class(g):
     """(invariants, coordinates) of g off one Gram matrix; see extract_coordinates.
 
     Memoized on the gate (GateMatrix._reading): a gate's class is read once.
     """
-    gate = as_gate(g, tol=tol)
+    gate = as_gate(g)
     if gate._reading is not None:
         return gate._reading
     m = m_matrix(su4_normalize(gate))
@@ -443,7 +454,7 @@ def _raw_core(lam) -> np.ndarray:
     )
 
 
-def kak_decompose(g, tol: Tolerances = DEFAULT_TOLERANCES) -> KakFactors:
+def kak_decompose(g) -> KakFactors:
     """Full canonical decomposition of a two-qubit gate.
 
     The decomposition itself is _kak_locals (see there).  This function
@@ -455,7 +466,7 @@ def kak_decompose(g, tol: Tolerances = DEFAULT_TOLERANCES) -> KakFactors:
     dressed-circuit residual stand in for these checks; both share the
     decomposition memoized on a GateMatrix.
     """
-    gate = as_gate(g, tol=tol)
+    gate = as_gate(g)
     left, core, right, lam = _kak_locals(gate)
 
     q = MAGIC_FRAME

@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from .linalg import DEFAULT_TOLERANCES, Tolerances, GateMatrix, kron2, rot_y, rot_z
+from .linalg import _UNITARITY_TOL, GateMatrix, kron2, rot_y, rot_z
 from .invariants import _CHAMBER_SLACK, is_perfect_entangler
 from .canonical import QUARTER, CanonicalCoords, _kak_locals, _read_class
 from .entangle import entangling_power_closed, entangling_power_mc
@@ -79,10 +79,11 @@ def _mc_seed(seed):
         raise _CliError(2, f"WEYLFORGE_SEED must be an integer, got {raw!r}")
 
 
-def _load_gate(spec: str, tol: Tolerances):
-    """Resolve a named gate or a gate file into (name, GateMatrix)."""
+def _load_gate(spec: str, unitarity: float):
+    """Resolve a named gate or a gate file into (name, GateMatrix), checked
+    at the unitarity tolerance given."""
     if spec in NAMED_GATES:
-        return spec, GateMatrix(NAMED_GATES[spec], tol=tol)
+        return spec, GateMatrix(NAMED_GATES[spec], unitarity)
     if not os.path.exists(spec):
         raise _CliError(
             2,
@@ -93,7 +94,7 @@ def _load_gate(spec: str, tol: Tolerances):
         with open(spec) as fh:
             data = json.load(fh)
         matrix = _mat_from_lists(data["matrix"])
-        gate = GateMatrix(matrix, tol=tol)
+        gate = GateMatrix(matrix, unitarity)
     except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
         raise _CliError(2, f"cannot load gate from {spec!r}: {exc}")
     return data.get("name"), gate
@@ -112,26 +113,34 @@ def _parse_coords(text: str) -> CanonicalCoords:
 # ---------------------------------------------------------------- analyze
 
 
-def _analysis_report(gate, name, args, tol: Tolerances) -> dict:
-    """The analyze report; every step runs at the tolerances the gate
-    was loaded with, and every flag is read off one chamber point."""
-    inv, coords = _read_class(gate, tol)
-    ep = entangling_power_closed(coords)
+def _class_fields(g):
+    """(chamber point, the coords, g1, g2 and entangling_power fields) of
+    the class of g, for an analyze report or a table row."""
+    inv, coords = _read_class(g)
+    return coords, {
+        "coords": [float(v) + 0.0 for v in coords],
+        "g1": [inv.g1.real + 0.0, inv.g1.imag + 0.0],
+        "g2": inv.g2 + 0.0,
+        "entangling_power": float(entangling_power_closed(coords)) + 0.0,
+    }
+
+
+def _analysis_report(gate, name, args) -> dict:
+    """The analyze report of a gate loaded at --tolerance, which is only
+    echoed here; every flag is read off one chamber point."""
+    coords, fields = _class_fields(gate)
     spe = is_spe(coords)
     report = {
         "name": name,
         "unitarity_residual": gate.unitarity_residual,
-        "unitarity_tolerance": tol.unitarity,
-        "coords": [float(v) + 0.0 for v in coords],
-        "g1": [inv.g1.real + 0.0, inv.g1.imag + 0.0],
-        "g2": inv.g2 + 0.0,
-        "entangling_power": float(ep),
+        "unitarity_tolerance": args.tolerance,
+        **fields,
         "perfect_entangler": is_perfect_entangler(coords),
         "spe": spe,
         "spe_phi": float(coords.c2) if spe else None,
     }
     if args.mc_samples is not None:
-        est = entangling_power_mc(gate, args.mc_samples, _mc_seed(args.seed), tol=tol)
+        est = entangling_power_mc(gate, args.mc_samples, _mc_seed(args.seed))
         report["mc"] = {
             "mean": est.mean,
             "std_error": est.std_error,
@@ -144,9 +153,8 @@ def _analysis_report(gate, name, args, tol: Tolerances) -> dict:
 def _cmd_analyze(args) -> int:
     if args.mc_samples is not None and args.mc_samples < 1:
         raise _CliError(2, "--mc-samples must be positive")
-    tol = Tolerances(unitarity=args.tolerance)
-    name, gate = _load_gate(args.gate, tol)
-    report = _analysis_report(gate, name, args, tol)
+    name, gate = _load_gate(args.gate, args.tolerance)
+    report = _analysis_report(gate, name, args)
     if args.json:
         json.dump(report, sys.stdout, indent=2)
         print()
@@ -181,7 +189,7 @@ def _cmd_synthesize(args) -> int:
     if (args.gate is None) == (args.coords is None):
         raise _CliError(2, "give exactly one target: a gate file/name or --coords")
     if args.gate is not None:
-        _, target = _load_gate(args.gate, Tolerances(unitarity=args.tolerance))
+        _, target = _load_gate(args.gate, args.tolerance)
         # the point synthesis decides on: its decomposition core, memoized
         # on the gate, so synthesize reuses it and the gate is read once
         chamber = _kak_locals(target)[1]
@@ -277,19 +285,7 @@ def _table_rows():
         (f"controlled-U(theta={_fmt(_CTRL_THETA)})", _controlled_u()),
         ("AxB", local_pair),
     ]
-    rows = []
-    for label, matrix in entries:
-        inv, coords = _read_class(matrix, DEFAULT_TOLERANCES)
-        rows.append(
-            {
-                "operator": label,
-                "coords": [float(v) + 0.0 for v in coords],
-                "g1": [inv.g1.real + 0.0, inv.g1.imag + 0.0],
-                "g2": inv.g2 + 0.0,
-                "entangling_power": float(entangling_power_closed(coords)) + 0.0,
-            }
-        )
-    return rows
+    return [{"operator": label, **_class_fields(matrix)[1]} for label, matrix in entries]
 
 
 def _cmd_table(args) -> int:
@@ -436,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--mc-samples", type=int, default=None, metavar="N",
                     help="also run a Monte Carlo entangling-power estimate")
     pa.add_argument("--seed", type=int, default=None, metavar="S")
-    pa.add_argument("--tolerance", type=float, default=1e-9, metavar="T",
+    pa.add_argument("--tolerance", type=float, default=_UNITARITY_TOL, metavar="T",
                     help="unitarity tolerance for gate loading")
     pa.add_argument("--json", action="store_true")
     pa.set_defaults(func=_cmd_analyze)
@@ -451,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "which reaches every class")
     ps.add_argument("--out", default=None, metavar="PATH",
                     help="write the circuit JSON here")
-    ps.add_argument("--tolerance", type=float, default=1e-9, metavar="T")
+    ps.add_argument("--tolerance", type=float, default=_UNITARITY_TOL, metavar="T")
     ps.add_argument("--json", action="store_true")
     ps.set_defaults(func=_cmd_synthesize)
 

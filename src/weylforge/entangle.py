@@ -47,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Tolerances, DEFAULT_TOLERANCES, ConsistencyError, as_gate
+from .linalg import ConsistencyError, as_gate
+from .canonical import _coords
 
 __all__ = [
     "MAGIC_STATES",
@@ -98,7 +99,8 @@ def _state(s) -> np.ndarray:
     if v.shape != (4,):
         raise ValueError(f"expected a length-4 state vector, got shape {v.shape}")
     norm2 = float(np.vdot(v, v).real)
-    if abs(norm2 - 1.0) > 1e-12:
+    # a non-finite entry makes norm2 inf or NaN, and NaN fails this too
+    if not abs(norm2 - 1.0) <= 1e-12:
         raise ValueError(f"state is not normalized: |s|^2 = {norm2!r}")
     return v
 
@@ -155,8 +157,9 @@ def classify_state(s) -> str:
 
 
 def entangling_power_closed(c) -> float:
-    """Closed-form entangling power of the class at coordinates c."""
-    f1, f2, f3 = (np.cos(4.0 * float(v)) for v in c)
+    """Closed-form entangling power of the class at coordinates c;
+    non-finite c raise ValueError."""
+    f1, f2, f3 = (np.cos(4.0 * v) for v in _coords(c))
     return float((3.0 - (f1 * f2 + f2 * f3 + f3 * f1)) / 18.0)
 
 
@@ -348,9 +351,7 @@ def _per_batch(gate: np.ndarray, n: int, seed: int, reduce) -> list:
     return results
 
 
-def entangling_power_mc(
-    g, n: int, seed: int, tol: Tolerances = DEFAULT_TOLERANCES
-) -> EpEstimate:
+def entangling_power_mc(g, n: int, seed: int) -> EpEstimate:
     """Monte Carlo entangling power: mean output linear entropy over n
     Haar product states.
 
@@ -361,7 +362,7 @@ def entangling_power_mc(
     bitwise independent of how batches are grouped into workers.
     """
     n, seed = _sample_run(n, seed)
-    gate = as_gate(g, tol=tol).matrix
+    gate = as_gate(g).matrix
 
     def moments(entropy):
         # entropy = 0.5 * conc**2, then its square, in the batch's buffer

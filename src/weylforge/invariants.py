@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import Tolerances, DEFAULT_TOLERANCES, as_gate
+from .linalg import as_gate
 
 __all__ = [
     "MAGIC_FRAME",
@@ -58,7 +58,7 @@ def m_matrix(g) -> np.ndarray:
     return ub.T @ ub
 
 
-def local_invariants(g, tol: Tolerances = DEFAULT_TOLERANCES) -> LocalInvariants:
+def local_invariants(g) -> LocalInvariants:
     """Compute the local-equivalence invariants of a two-qubit gate.
 
     Returns ``LocalInvariants(g1, g2)`` with
@@ -75,7 +75,7 @@ def local_invariants(g, tol: Tolerances = DEFAULT_TOLERANCES) -> LocalInvariants
     # canonical imports this module, so import it at call time
     from .canonical import _read_class
 
-    return _read_class(g, tol)[0]
+    return _read_class(g)[0]
 
 
 # a gate is projected onto the unitaries on entry, so Im g2 is rounding
@@ -125,14 +125,13 @@ def _pe_point(c) -> bool:
     )
 
 
-def is_perfect_entangler(g, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def is_perfect_entangler(g) -> bool:
     """True when g can turn some product state into a maximally
     entangled one.
 
-    g is a 4x4 gate, whose coordinates are extracted at tol, or a
-    coordinate triple, which is folded into the chamber (tol is not
-    read); any other shape is a ValueError.  Criterion: the chamber
-    point c lies in the polyhedron
+    g is a 4x4 gate, whose coordinates are extracted, or a coordinate
+    triple, which is folded into the chamber; any other shape is a
+    ValueError.  Criterion: the chamber point c lies in the polyhedron
 
         c1 + c2 >= pi/4,  c2 + |c3| <= pi/4
 
@@ -145,7 +144,7 @@ def is_perfect_entangler(g, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
 
     shape = np.shape(g)
     if shape == (4, 4):
-        return _pe_point(extract_coordinates(g, tol))
+        return _pe_point(extract_coordinates(g))
     if shape == (3,):
         return _pe_point(reduce_to_weyl(g))
     raise ValueError(f"expected a coordinate triple or a 4x4 gate, got shape {shape}")

@@ -11,13 +11,11 @@ normalization, the simultaneous diagonalizer for a commuting pair of
 real symmetric matrices, and the Kronecker-factor splitter.
 """
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
     "ConsistencyError",
     "GateMatrix",
     "as_gate",
@@ -43,15 +41,9 @@ for _p in PAULIS:
     _p.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """The settable tolerance: unitarity, the max |U+U - I| entry
-    allowed when accepting a gate."""
-
-    unitarity: float = 1e-9
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# the default max |U+U - I| entry of a raw gate: rounding of a unitary
+# written out to about 15 digits stays far below it
+_UNITARITY_TOL = 1e-9
 
 
 class ConsistencyError(RuntimeError):
@@ -66,9 +58,12 @@ class ConsistencyError(RuntimeError):
 class GateMatrix:
     """A 4x4 unitary, checked once where it enters.
 
-    A raw array must be 4x4, finite and within ``tol.unitarity`` of
-    unitary (max |U+U - I|); the stored read-only matrix is its nearest
-    unitary, the polar factor W V+ of the SVD U = W S V+.
+    A raw array must be 4x4, finite and within ``unitarity`` of unitary
+    (max |U+U - I|, default 1e-9); the stored read-only matrix is its
+    nearest unitary, the polar factor W V+ of the SVD U = W S V+.
+    ``unitarity`` must be a finite number >= 0, else ValueError.  It is
+    the package's only settable tolerance: every function that takes a
+    gate takes this one as it is, and checks a raw array at the default.
     ``unitarity_residual`` is the input's residual before projection;
     gates built in closed form carry their source's, or 0.0.
 
@@ -88,17 +83,23 @@ class GateMatrix:
     # np.shape reads this rather than converting the gate to an array
     shape = (4, 4)
 
-    def __init__(self, matrix, tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, matrix, unitarity: float = _UNITARITY_TOL):
+        unitarity = float(unitarity)
+        # NaN fails the comparison too
+        if not 0.0 <= unitarity < math.inf:
+            raise ValueError(
+                f"unitarity tolerance must be a finite number >= 0, got {unitarity!r}"
+            )
         m = np.array(matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix contains non-finite entries")
         residual = float(np.abs(m.conj().T @ m - np.eye(4)).max())
-        if residual > tol.unitarity:
+        if residual > unitarity:
             raise ValueError(
                 f"matrix is not unitary: residual {residual:.3e} exceeds "
-                f"tolerance {tol.unitarity:.1e}"
+                f"tolerance {unitarity:.1e}"
             )
         w, _, vh = np.linalg.svd(m)
         _set_slots(self, w @ vh, residual)
@@ -136,11 +137,12 @@ def _trusted_gate(m: np.ndarray, residual: float) -> GateMatrix:
     return _set_slots(object.__new__(GateMatrix), m, residual)
 
 
-def as_gate(g, tol: Tolerances = DEFAULT_TOLERANCES) -> GateMatrix:
-    """A GateMatrix as it is, trusted; any 4x4 array-like checked at tol."""
+def as_gate(g) -> GateMatrix:
+    """A GateMatrix as it is, trusted at the tolerance it was made with;
+    any 4x4 array-like checked at the default, GateMatrix(g)."""
     if isinstance(g, GateMatrix):
         return g
-    return GateMatrix(g, tol=tol)
+    return GateMatrix(g)
 
 
 def kron2(a, b) -> np.ndarray:
@@ -172,7 +174,7 @@ def rot_z(angle: float) -> np.ndarray:
     return np.array([[np.exp(-1j * angle), 0], [0, np.exp(1j * angle)]])
 
 
-def su4_normalize(g, tol: Tolerances = DEFAULT_TOLERANCES) -> GateMatrix:
+def su4_normalize(g) -> GateMatrix:
     """Rescale a 4x4 unitary to unit determinant.
 
     The scale factor is the principal fourth root of 1/det(g), i.e. the
@@ -180,7 +182,7 @@ def su4_normalize(g, tol: Tolerances = DEFAULT_TOLERANCES) -> GateMatrix:
     its input's residual and is not checked again.  Idempotent up to
     floating-point noise.
     """
-    gate = as_gate(g, tol=tol)
+    gate = as_gate(g)
     factor = (1.0 / np.linalg.det(gate.matrix)) ** 0.25
     return _trusted_gate(factor * gate.matrix, gate.unitarity_residual)
 

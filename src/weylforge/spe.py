@@ -18,11 +18,12 @@ angle theta, a concrete product basis whose four images are all
 maximally entangled.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Tolerances, DEFAULT_TOLERANCES, GateMatrix, as_gate, kron2
+from .linalg import GateMatrix, as_gate, kron2
 from .canonical import (
     QUARTER,
     CanonicalCoords,
@@ -53,7 +54,7 @@ class SpeParams:
     phi: float
 
     def __post_init__(self):
-        if not 0.0 <= self.phi <= QUARTER + 1e-12:
+        if not 0.0 <= self.phi <= QUARTER + _CHAMBER_SLACK:
             raise ValueError(f"phi = {self.phi!r} outside [0, pi/4]")
 
 
@@ -86,26 +87,29 @@ def spe_gate(p) -> GateMatrix:
     return canonical_gate(CanonicalCoords(QUARTER, _phi(p), 0.0))
 
 
-def is_spe(c, tol: float = _CHAMBER_SLACK) -> bool:
+def is_spe(c) -> bool:
     """Is the class at coordinates c a special perfect entangler?
 
     Folds c into the chamber and tests that the point lies on the family
-    segment (pi/4, phi, 0): pi/4 - c1 <= tol and |c3| <= tol, tol in
-    radians.  Equivalent to entangling power exactly 2/9.
+    segment (pi/4, phi, 0): pi/4 - c1 and |c3| within the chamber slack,
+    1e-12 rad (invariants._CHAMBER_SLACK).  Equivalent to entangling
+    power exactly 2/9.
     """
     c1, _, c3 = reduce_to_weyl(c)
-    return QUARTER - c1 <= tol and abs(c3) <= tol
+    return QUARTER - c1 <= _CHAMBER_SLACK and abs(c3) <= _CHAMBER_SLACK
 
 
 def witness_basis(theta: float, p) -> WitnessBasis:
     """Witness product basis for the SPE representative at (0, pi/4, phi).
 
-    Valid for every theta; the family member must be taken in the
-    coordinate form canonical_gate(0, pi/4, phi) (locally equivalent to
-    C[phi]).  For bases matched to an arbitrary SPE matrix, see
-    witness_basis_for_gate.
+    Valid for every finite theta (ValueError otherwise); the family
+    member must be taken in the coordinate form canonical_gate(0, pi/4,
+    phi) (locally equivalent to C[phi]).  For bases matched to an
+    arbitrary SPE matrix, see witness_basis_for_gate.
     """
     theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     phi = _phi(p)
     a = complex(np.cos(theta))
     b = np.exp(2j * phi) * np.sin(theta)
@@ -127,7 +131,7 @@ def witness_basis(theta: float, p) -> WitnessBasis:
 _REP_TO_SEGMENT = ((0, 0, 0), (1, 1, 1), (1, 2, 0))
 
 
-def witness_basis_for_gate(g, theta: float, tol: Tolerances = DEFAULT_TOLERANCES):
+def witness_basis_for_gate(g, theta: float):
     """Product basis maximally entangled by an arbitrary SPE matrix.
 
     The witness construction is tied to the representative
@@ -138,7 +142,7 @@ def witness_basis_for_gate(g, theta: float, tol: Tolerances = DEFAULT_TOLERANCES
 
     Raises ValueError when g is not a special perfect entangler.
     """
-    factors = kak_decompose(g, tol=tol)
+    factors = kak_decompose(g)
     if not is_spe(factors.core):
         raise ValueError(
             f"gate with canonical coordinates {tuple(factors.core)} is not "
@@ -157,11 +161,12 @@ def witness_basis_for_gate(g, theta: float, tol: Tolerances = DEFAULT_TOLERANCES
     return transported
 
 
-def check_basis_images(g, basis, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def check_basis_images(g, basis) -> np.ndarray:
     """Concurrences of the four images g|psi_i> of an orthonormal basis.
 
     basis: a WitnessBasis or a (4, 4) array of states as rows.
-    Raises ValueError when the supplied basis is not orthonormal.
+    Raises ValueError when the supplied basis is not finite and
+    orthonormal.
     """
     if isinstance(basis, WitnessBasis):
         states = basis.states
@@ -169,11 +174,14 @@ def check_basis_images(g, basis, tol: Tolerances = DEFAULT_TOLERANCES) -> np.nda
         states = np.asarray(basis, dtype=complex)
         if states.shape != (4, 4):
             raise ValueError(f"expected four state vectors, got shape {states.shape}")
+    # checked first: an infinite entry would make the Gram product warn
+    if not np.isfinite(states).all():
+        raise ValueError("basis contains non-finite entries")
     gram = states.conj() @ states.T
     residual = np.abs(gram - np.eye(4)).max()
     if residual > 1e-9:
         raise ValueError(f"basis is not orthonormal (Gram residual {residual:.3e})")
-    images = states @ as_gate(g, tol=tol).matrix.T
+    images = states @ as_gate(g).matrix.T
     return np.array([concurrence_pure(v) for v in images])
 
 

@@ -52,10 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOLERANCES,
     ConsistencyError,
     GateMatrix,
-    Tolerances,
     _trusted_gate,
     as_gate,
     kron2,
@@ -174,15 +172,16 @@ def _product(c: Circuit) -> np.ndarray:
     return np.exp(1j * c.global_phase) * total
 
 
-def circuit_matrix(c: Circuit, tol: Tolerances = DEFAULT_TOLERANCES) -> GateMatrix:
+def circuit_matrix(c: Circuit) -> GateMatrix:
     """Multiply out a circuit, including its global phase; checked as a
-    raw gate is, since circuit_from_dict reads layers from outside."""
-    return GateMatrix(_product(c), tol=tol)
+    raw gate is, at the default tolerance, since circuit_from_dict reads
+    layers from outside."""
+    return GateMatrix(_product(c))
 
 
 def _admissible_phi(p) -> float:
     phi = _phi(p)
-    if phi <= 1e-12 or phi >= QUARTER - 1e-12:
+    if phi <= _CHAMBER_SLACK or phi >= QUARTER - _CHAMBER_SLACK:
         raise UnsupportedPhiError(
             f"phi = {phi!r} cannot drive synthesis; phi must lie strictly "
             "inside (0, pi/4)"
@@ -303,7 +302,7 @@ def _core_circuit(c: CanonicalCoords, sol: SynthesisSolution) -> Circuit:
     )
 
 
-def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
+def synthesize(target, p) -> Circuit:
     """Compile a target gate or class into exactly two C[phi] applications.
 
     Coordinate targets produce the bare two-application circuit whose
@@ -322,7 +321,7 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
     """
     shape = np.shape(target)
     if shape == (4, 4):
-        gate = as_gate(target, tol=tol)
+        gate = as_gate(target)
         a1, chamber, a2, _ = _kak_locals(gate)
     elif shape == (3,):
         gate = None
@@ -341,7 +340,7 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
         # multiplied in the order _product uses, so the same bits
         core_m = _trusted_gate(cphi @ (mid @ cphi), 0.0)
         if gate is None:
-            if _in_class(core_m, chamber, tol):
+            if _in_class(core_m, chamber):
                 return core
         else:
             # the core product M = e^{ib} P1 G(inner) P2 names the target's
@@ -395,7 +394,7 @@ def synthesize(target, p, tol: Tolerances = DEFAULT_TOLERANCES) -> Circuit:
     )
 
 
-def verify_equivalence(c: Circuit, target, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def verify_equivalence(c: Circuit, target) -> bool:
     """Does the circuit implement the target class?
 
     Checks the local invariants within 1e-8 and, independently, the
@@ -403,12 +402,12 @@ def verify_equivalence(c: Circuit, target, tol: Tolerances = DEFAULT_TOLERANCES)
     face c1 = pi/4, where (pi/4, c2, c3) and (pi/4, c2, -c3) name one
     class (Zhang et al., PRA 67, 042313 (2003)).
     """
-    return _in_class(circuit_matrix(c, tol=tol), reduce_to_weyl(target), tol)
+    return _in_class(circuit_matrix(c), reduce_to_weyl(target))
 
 
-def _in_class(gate: GateMatrix, chamber: CanonicalCoords, tol: Tolerances) -> bool:
+def _in_class(gate: GateMatrix, chamber: CanonicalCoords) -> bool:
     """verify_equivalence's test, for a chamber point that is already folded."""
-    got, coords = _read_class(gate, tol)
+    got, coords = _read_class(gate)
     want = invariants_from_coords(chamber)
     if abs(got.g1 - want.g1) > 1e-8 or abs(got.g2 - want.g2) > 1e-8:
         return False

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 import weylforge.canonical as canonical
 from weylforge import (
-    DEFAULT_TOLERANCES,
     CanonicalCoords,
     ConsistencyError,
     GateMatrix,
@@ -468,8 +467,8 @@ def test_cached_arrays_reject_writes():
         with pytest.raises(ValueError):
             arr[0] = 0
     # the class reading holds tuples only, and the gate takes no new slot values
-    inv, coords = canonical._read_class(g, DEFAULT_TOLERANCES)
-    assert canonical._read_class(g, DEFAULT_TOLERANCES)[1] is coords
+    inv, coords = canonical._read_class(g)
+    assert canonical._read_class(g)[1] is coords
     with pytest.raises(AttributeError):
         g._kak = None
 

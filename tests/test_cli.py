@@ -220,6 +220,23 @@ def test_synthesize_projects_a_gate_accepted_at_a_loose_tolerance(tmp_path, caps
     assert "not unitary" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "synthesize"])
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_a_tolerance_that_is_not_a_finite_number_at_least_0_exits_2(
+    tmp_path, capsys, command, tolerance
+):
+    # diag(1, 0, 1, 2) has residual 3: a NaN or infinite tolerance used to
+    # pass it, and a negative one to reject every gate with a misleading line
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"matrix": _mat_to_lists(np.diag([1.0, 0.0, 1.0, 2.0]))}))
+    for gate in ("cnot", str(path)):
+        code, out, err = run(capsys, command, gate, "--json", "--tolerance", tolerance)
+        assert code == 2, (gate, out)
+        assert out == ""
+        want = f"unitarity tolerance must be a finite number >= 0, got {float(tolerance)!r}"
+        assert want in err and "Traceback" not in err
+
+
 def test_analyze_checks_mc_samples_before_loading(capsys):
     code, _, err = run(capsys, "analyze", "/no/such/file.json", "--mc-samples", "0")
     assert code == 2

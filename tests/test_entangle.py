@@ -68,6 +68,15 @@ def test_state_validation():
         concurrence_pure(np.ones(4))  # not normalized
 
 
+@pytest.mark.parametrize(
+    "measure", [concurrence_pure, linear_entropy, magic_coefficients, classify_state]
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
+def test_state_measures_reject_non_finite_entries(measure, bad):
+    with pytest.raises(ValueError, match="not normalized"):
+        measure(np.array([bad, 0, 0, 0], dtype=complex))
+
+
 def test_magic_coefficients_are_deltas_on_magic_states():
     for k in range(4):
         mu = magic_coefficients(MAGIC_STATES[:, k])
@@ -104,6 +113,12 @@ def test_entangling_power_closed_named_classes():
     for name, want in cases.items():
         c = extract_coordinates(NAMED_GATES[name])
         assert abs(entangling_power_closed(c) - want) < 1e-12, name
+
+
+@pytest.mark.parametrize("c", [(np.nan, 0.0, 0.0), (0.1, np.inf, 0.0), (0.1, 0.0, -np.inf)])
+def test_entangling_power_closed_rejects_non_finite_coordinates(c):
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        entangling_power_closed(c)
 
 
 def test_entangling_power_closed_is_class_invariant():

@@ -1,4 +1,6 @@
+import inspect
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ import weylforge
 from weylforge.linalg import (
     ConsistencyError,
     GateMatrix,
-    Tolerances,
     as_gate,
     _MIX_WEIGHTS,
     eig_commuting_symmetric_pair,
@@ -21,7 +22,7 @@ from weylforge.linalg import (
 )
 from weylforge.gates import CNOT, NAMED_GATES
 
-from conftest import haar_su2
+from conftest import dressed, haar_su2
 
 
 def haar_u4(rng):
@@ -51,8 +52,23 @@ def test_gate_matrix_tolerance_is_adjustable():
     near[0, 0] = 1.0 + 1e-6
     with pytest.raises(ValueError):
         GateMatrix(near)
-    g = GateMatrix(near, tol=Tolerances(unitarity=1e-4))
+    g = GateMatrix(near, unitarity=1e-4)
     assert g.unitarity_residual < 1e-4
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-12])
+def test_gate_matrix_rejects_a_tolerance_that_is_not_a_finite_number_at_least_0(bad):
+    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+        GateMatrix(CNOT, unitarity=bad)
+    # a non-unitary matrix, which a NaN tolerance used to let through
+    with pytest.raises(ValueError, match="unitarity tolerance"):
+        GateMatrix(np.diag([1.0, 0.0, 1.0, 2.0]), unitarity=bad)
+
+
+def test_gate_matrix_takes_a_zero_tolerance_for_exact_gates():
+    assert GateMatrix(CNOT, unitarity=0.0).unitarity_residual == 0.0
+    with pytest.raises(ValueError, match="not unitary"):
+        GateMatrix(CNOT * (1.0 + 1e-15), unitarity=0.0)
 
 
 def test_as_gate_passthrough_and_coercion():
@@ -95,6 +111,34 @@ def test_no_numpy_kron_in_the_package():
         if "np.kron(" in line
     ]
     assert hits == []
+
+
+# parameter names that would make a tolerance or slack settable
+_KNOB = re.compile(r"tol|slack|unitarity|(^|_)eps|threshold|margin")
+
+
+def test_only_gate_matrix_and_in_weyl_chamber_take_a_tolerance():
+    # the unitarity tolerance is set where a gate enters, and the chamber
+    # predicate keeps its slack; no other public callable takes one
+    knobs = {}
+    for name in weylforge.__all__:
+        obj = getattr(weylforge, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters.values()
+        except ValueError:
+            # exception classes that keep the builtin constructor
+            assert issubclass(obj, Exception), name
+            continue
+        found = [
+            p.name
+            for p in params
+            if _KNOB.search(p.name.lower()) or p.kind is inspect.Parameter.VAR_KEYWORD
+        ]
+        if found:
+            knobs[name] = found
+    assert knobs == {"GateMatrix": ["unitarity"], "in_weyl_chamber": ["tol"]}
 
 
 def test_kron2_is_multiplicative():
@@ -218,7 +262,7 @@ def test_gate_matrix_stores_the_nearest_unitary():
     rng = np.random.default_rng(41)
     u = haar_u4(rng)
     raw = _noisy(u, 1e-8, rng)
-    g = GateMatrix(raw, tol=Tolerances(unitarity=1e-6))
+    g = GateMatrix(raw, unitarity=1e-6)
     # the residual is the input's, the stored matrix is unitary to rounding
     assert g.unitarity_residual == np.abs(raw.conj().T @ raw - np.eye(4)).max()
     assert g.unitarity_residual > 1e-9
@@ -239,11 +283,83 @@ def test_gate_matrix_keeps_exact_permutation_gates_bit_for_bit(name):
 
 def test_su4_normalize_keeps_the_input_residual():
     rng = np.random.default_rng(42)
-    g = GateMatrix(_noisy(haar_u4(rng), 1e-8, rng), tol=Tolerances(unitarity=1e-6))
+    g = GateMatrix(_noisy(haar_u4(rng), 1e-8, rng), unitarity=1e-6)
     v = su4_normalize(g)
     assert v.unitarity_residual == g.unitarity_residual
     assert abs(np.linalg.det(v.matrix) - 1) < 1e-14
     assert not v.matrix.flags.writeable
+
+
+_B_PHI = np.pi / 8
+
+
+def _loose_spe():
+    """A dressed C[pi/8] times I + 1e-9 H, H Hermitian: unitarity residual
+    about 1e-8, and the nearest unitary is the dressed gate itself."""
+    rng = np.random.default_rng(43)
+    u = dressed((np.pi / 4, _B_PHI, 0.0), rng)
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    raw = u @ (np.eye(4) + 1e-9 * (h + h.conj().T))
+    return u, raw
+
+
+_BASIS = weylforge.witness_basis(0.3, _B_PHI)
+
+# every public function that takes a gate, as a call on one gate
+_GATE_TAKERS = {
+    "as_gate": weylforge.as_gate,
+    "su4_normalize": weylforge.su4_normalize,
+    "extract_coordinates": weylforge.extract_coordinates,
+    "local_invariants": weylforge.local_invariants,
+    "is_perfect_entangler": weylforge.is_perfect_entangler,
+    "kak_decompose": weylforge.kak_decompose,
+    "entangling_power_mc": lambda g: weylforge.entangling_power_mc(g, 5000, 1),
+    "witness_basis_for_gate": lambda g: weylforge.witness_basis_for_gate(g, 0.3),
+    "check_basis_images": lambda g: weylforge.check_basis_images(g, _BASIS),
+    "synthesize": lambda g: weylforge.synthesize(g, _B_PHI),
+    "separability_preservation_probe": (
+        lambda g: weylforge.separability_preservation_probe(g, 5000, 1)
+    ),
+}
+
+
+def test_a_gate_checked_at_a_loose_tolerance_is_taken_everywhere():
+    u, raw = _loose_spe()
+    g = GateMatrix(raw, unitarity=1e-6)
+    assert 1e-9 < g.unitarity_residual < 1e-7
+    assert np.abs(g.matrix - u).max() < 1e-14
+    out = {name: call(g) for name, call in _GATE_TAKERS.items()}
+    assert out["as_gate"] is g
+    assert out["su4_normalize"].unitarity_residual == g.unitarity_residual
+    for coords in (out["extract_coordinates"], out["kak_decompose"].core):
+        assert np.abs(np.subtract(coords, (np.pi / 4, _B_PHI, 0))).max() < 1e-12
+    assert out["is_perfect_entangler"]
+    assert abs(out["local_invariants"].g1) < 1e-12
+    assert abs(out["entangling_power_mc"].mean - 2 / 9) < 0.02
+    images = weylforge.check_basis_images(g, out["witness_basis_for_gate"])
+    assert np.abs(images - 1.0).max() < 1e-9
+    assert out["separability_preservation_probe"] == 0.0
+    circuit = out["synthesize"]
+    # the circuit-taking functions, on the circuit synthesized from g
+    assert np.abs(weylforge.circuit_matrix(circuit).matrix - g.matrix).max() < 1e-7
+    assert weylforge.verify_equivalence(circuit, out["extract_coordinates"])
+
+
+@pytest.mark.parametrize("name", sorted(_GATE_TAKERS))
+def test_the_same_raw_array_is_checked_at_the_default(name):
+    _, raw = _loose_spe()
+    with pytest.raises(ValueError, match="not unitary"):
+        _GATE_TAKERS[name](raw)
+
+
+def test_a_circuit_with_a_raw_layer_is_checked_at_the_default():
+    # circuit_matrix, and verify_equivalence through it, check the product
+    top = np.eye(2) * (1.0 + 1e-8)
+    circuit = weylforge.Circuit(layers=(weylforge.LocalLayer(top=top, bottom=np.eye(2)),))
+    with pytest.raises(ValueError, match="not unitary"):
+        weylforge.circuit_matrix(circuit)
+    with pytest.raises(ValueError, match="not unitary"):
+        weylforge.verify_equivalence(circuit, (0.0, 0.0, 0.0))
 
 
 def _circle_pair(rng, angles):

@@ -183,6 +183,22 @@ def test_check_basis_images_rejects_non_orthonormal_rows():
         check_basis_images(spe_gate(0.2), basis)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, 1.0)])
+def test_check_basis_images_rejects_non_finite_entries(bad):
+    basis = witness_basis(0.4, 0.2).states.copy()
+    basis[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        check_basis_images(CNOT, basis)
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_witness_basis_rejects_a_non_finite_theta(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        witness_basis(theta, 0.1)
+    with pytest.raises(ValueError, match="theta must be finite"):
+        witness_basis_for_gate(spe_gate(0.1), theta)
+
+
 def test_sqrtswap_image_concurrence_closed_form():
     # C(sqrtswap (a x b)) = 1 - |<a|b>|^2; maximal only for orthogonal a, b
     rng = np.random.default_rng(84)
