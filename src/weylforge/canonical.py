@@ -100,11 +100,45 @@ class KakFactors:
 
 
 def _coords(c) -> CanonicalCoords:
-    """c as a CanonicalCoords of floats; ValueError unless all are finite."""
-    c1, c2, c3 = (float(v) for v in c)
+    """c as a CanonicalCoords of floats, not yet folded: the one place a
+    triple becomes floats.  ValueError naming the shape unless c holds
+    three real numbers (a string is not read as its characters), and
+    unless all three are finite."""
+    try:
+        if isinstance(c, str):  # it would unpack into three characters
+            raise TypeError
+        c1, c2, c3 = c
+        c1, c2, c3 = float(c1), float(c2), float(c3)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"expected a coordinate triple of real numbers, got shape {np.shape(c)}"
+        ) from None
     if not (math.isfinite(c1) and math.isfinite(c2) and math.isfinite(c3)):
         raise ValueError(f"coordinates must be finite, got {(c1, c2, c3)}")
     return CanonicalCoords(c1, c2, c3)
+
+
+def _target(t):
+    """(gate, None) for a gate, (None, coords) for a coordinate triple.
+
+    The one reader of a target argument: a GateMatrix or any 4x4
+    array-like becomes as_gate(t); a shape-(3,) triple becomes _coords(t),
+    finite floats not yet folded.  Anything else, a string included, is a
+    ValueError naming the shape.
+    """
+    shape = np.shape(t)
+    if shape == (4, 4):
+        return as_gate(t), None
+    if shape == (3,):
+        return None, _coords(t)
+    raise ValueError(f"expected a coordinate triple or a 4x4 gate, got shape {shape}")
+
+
+def _chamber_point(t) -> CanonicalCoords:
+    """The chamber point of a target's class: the memoized class reading
+    of a gate (extract_coordinates), the fold of a triple (reduce_to_weyl)."""
+    gate, coords = _target(t)
+    return _read_class(gate)[1] if coords is None else reduce_to_weyl(coords)
 
 
 def canonical_gate(c) -> GateMatrix:
@@ -172,7 +206,6 @@ def _reduce_with_ops(c):
        if c3 < 0 there, flip (c1, c3) and shift c1 by pi/2, which keeps
        c1 at pi/4 and makes c3 positive.
     """
-    c = [float(v) for v in c]
     # Python's float % is floor-mod (fmod with the sign of the divisor),
     # not a rounded quotient: -5.6e-17 maps to pi/2 and then to an exact
     # 0, not to a tiny negative coordinate

@@ -234,7 +234,7 @@ def _cmd_synthesize(args) -> int:
         json.dump(
             {
                 "phi": float(phi),
-                "target": [float(v) for v in chamber],
+                "target": list(chamber),
                 "verified": True,
                 "nonlocal_layers": circuit.nonlocal_count(),
                 "out": args.out,

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ConsistencyError, as_gate
-from .canonical import _coords
+from .canonical import _read_class, _target
 
 __all__ = [
     "MAGIC_STATES",
@@ -156,10 +156,17 @@ def classify_state(s) -> str:
     return "intermediate"
 
 
-def entangling_power_closed(c) -> float:
-    """Closed-form entangling power of the class at coordinates c;
-    non-finite c raise ValueError."""
-    f1, f2, f3 = (np.cos(4.0 * v) for v in _coords(c))
+def entangling_power_closed(target) -> float:
+    """Closed-form entangling power of the class of target.
+
+    target is a coordinate triple or a 4x4 gate; ValueError otherwise.
+    A triple is evaluated as given, unfolded (the formula is
+    class-invariant), a gate at its extracted chamber point.
+    """
+    gate, c = _target(target)
+    if c is None:
+        c = _read_class(gate)[1]
+    f1, f2, f3 = (np.cos(4.0 * v) for v in c)
     return float((3.0 - (f1 * f2 + f2 * f3 + f3 * f1)) / 18.0)
 
 

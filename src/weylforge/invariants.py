@@ -100,8 +100,13 @@ def invariants_from_coords(coords) -> LocalInvariants:
 
         g1 = ((cos 2(c1-c2)) e^{-2i c3} + (cos 2(c1+c2)) e^{2i c3})^2 / 4
         g2 = cos 4c1 + cos 4c2 + cos 4c3
+
+    coords is a coordinate triple of finite numbers; ValueError otherwise.
     """
-    c1, c2, c3 = (float(v) for v in coords)
+    # canonical imports this module, so import it at call time
+    from .canonical import _coords
+
+    c1, c2, c3 = _coords(coords)
     half = np.cos(2 * (c1 - c2)) * np.exp(-2j * c3) + np.cos(2 * (c1 + c2)) * np.exp(
         2j * c3
     )
@@ -125,13 +130,12 @@ def _pe_point(c) -> bool:
     )
 
 
-def is_perfect_entangler(g) -> bool:
-    """True when g can turn some product state into a maximally
+def is_perfect_entangler(target) -> bool:
+    """True when the target can turn some product state into a maximally
     entangled one.
 
-    g is a 4x4 gate, whose coordinates are extracted, or a coordinate
-    triple, which is folded into the chamber; any other shape is a
-    ValueError.  Criterion: the chamber point c lies in the polyhedron
+    target is a coordinate triple or a 4x4 gate; ValueError otherwise.
+    Criterion: the chamber point c of its class lies in the polyhedron
 
         c1 + c2 >= pi/4,  c2 + |c3| <= pi/4
 
@@ -140,11 +144,6 @@ def is_perfect_entangler(g) -> bool:
     the origin, read on the coordinates rather than the spectrum.
     """
     # canonical imports this module, so import it at call time
-    from .canonical import extract_coordinates, reduce_to_weyl
+    from .canonical import _chamber_point
 
-    shape = np.shape(g)
-    if shape == (4, 4):
-        return _pe_point(extract_coordinates(g))
-    if shape == (3,):
-        return _pe_point(reduce_to_weyl(g))
-    raise ValueError(f"expected a coordinate triple or a 4x4 gate, got shape {shape}")
+    return _pe_point(_chamber_point(target))

@@ -90,7 +90,12 @@ class GateMatrix:
             raise ValueError(
                 f"unitarity tolerance must be a finite number >= 0, got {unitarity!r}"
             )
-        m = np.array(matrix, dtype=complex)
+        try:
+            m = np.array(matrix, dtype=complex)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"expected a 4x4 matrix of numbers, got shape {np.shape(matrix)}"
+            ) from None
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):

@@ -28,9 +28,9 @@ from .canonical import (
     QUARTER,
     CanonicalCoords,
     _chamber_locals,
+    _chamber_point,
     canonical_gate,
     kak_decompose,
-    reduce_to_weyl,
 )
 from .entangle import _per_batch, _sample_run, concurrence_pure
 from .invariants import _CHAMBER_SLACK
@@ -47,22 +47,34 @@ __all__ = [
 ]
 
 
+def _real(name: str, value) -> float:
+    """value as a float; ValueError naming it unless it is a real number
+    (a string is not)."""
+    try:
+        if isinstance(value, str):
+            raise TypeError
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SpeParams:
-    """Family parameter phi, radians in [0, pi/4]."""
+    """Family parameter phi, radians in [0, pi/4]; any real number in that
+    range, stored as a float (ValueError otherwise, a string included)."""
 
     phi: float
 
     def __post_init__(self):
-        if not 0.0 <= self.phi <= QUARTER + _CHAMBER_SLACK:
-            raise ValueError(f"phi = {self.phi!r} outside [0, pi/4]")
+        phi = _real("phi", self.phi)
+        if not 0.0 <= phi <= QUARTER + _CHAMBER_SLACK:
+            raise ValueError(f"phi = {phi!r} outside [0, pi/4]")
+        object.__setattr__(self, "phi", phi)
 
 
 def _phi(p) -> float:
     """Accept SpeParams or a bare angle."""
-    if isinstance(p, SpeParams):
-        return p.phi
-    return SpeParams(float(p)).phi
+    return p.phi if isinstance(p, SpeParams) else SpeParams(p).phi
 
 
 @dataclass(frozen=True)
@@ -87,27 +99,28 @@ def spe_gate(p) -> GateMatrix:
     return canonical_gate(CanonicalCoords(QUARTER, _phi(p), 0.0))
 
 
-def is_spe(c) -> bool:
-    """Is the class at coordinates c a special perfect entangler?
+def is_spe(target) -> bool:
+    """Is the class of target a special perfect entangler?
 
-    Folds c into the chamber and tests that the point lies on the family
-    segment (pi/4, phi, 0): pi/4 - c1 and |c3| within the chamber slack,
-    1e-12 rad (invariants._CHAMBER_SLACK).  Equivalent to entangling
-    power exactly 2/9.
+    target is a coordinate triple or a 4x4 gate; ValueError otherwise.
+    Tests that the chamber point of its class lies on the family segment
+    (pi/4, phi, 0): pi/4 - c1 and |c3| within the chamber slack, 1e-12
+    rad (invariants._CHAMBER_SLACK).  Equivalent to entangling power
+    exactly 2/9.
     """
-    c1, _, c3 = reduce_to_weyl(c)
+    c1, _, c3 = _chamber_point(target)
     return QUARTER - c1 <= _CHAMBER_SLACK and abs(c3) <= _CHAMBER_SLACK
 
 
 def witness_basis(theta: float, p) -> WitnessBasis:
     """Witness product basis for the SPE representative at (0, pi/4, phi).
 
-    Valid for every finite theta (ValueError otherwise); the family
+    Valid for every finite real theta (ValueError otherwise); the family
     member must be taken in the coordinate form canonical_gate(0, pi/4,
     phi) (locally equivalent to C[phi]).  For bases matched to an
     arbitrary SPE matrix, see witness_basis_for_gate.
     """
-    theta = float(theta)
+    theta = _real("theta", theta)
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     phi = _phi(p)

@@ -55,7 +55,6 @@ from .linalg import (
     ConsistencyError,
     GateMatrix,
     _trusted_gate,
-    as_gate,
     kron2,
     rot_y,
     rot_z,
@@ -66,10 +65,12 @@ from .canonical import (
     _SAME_CLASS_TOL,
     QUARTER,
     CanonicalCoords,
+    _chamber_point,
     _class_match,
     _fixup_products,
     _kak_locals,
     _read_class,
+    _target,
     reduce_to_weyl,
 )
 from .spe import _phi, spe_gate
@@ -250,29 +251,32 @@ def _past_one(x) -> str:
 def infeasibility_reasons(target, p) -> list:
     """Why C[phi] misses the class of target: one line per failing branch.
 
+    target is a coordinate triple or a 4x4 gate; ValueError otherwise.
     Empty when both branches are feasible; two lines mean phi cannot
     reach the target.  Each line names how far phi lies outside the
     branch's interval and the violated condition (see _branch_roots).
     """
     phi = _admissible_phi(p)
-    c = reduce_to_weyl(target)
+    c = _chamber_point(target)
     return _branch_roots(phi, c.c2, c.c3)[1]
 
 
 def feasible_phi_intervals(target) -> list:
     """The phi at which each branch reaches the class of target.
 
+    target is a coordinate triple or a 4x4 gate; ValueError otherwise.
     Returns [(branch, lo, hi), ...] for sols1 and sols2; synthesis
     admits a branch within 1e-12 rad of its interval (see the module
     docstring).  Both contain pi/8; 0 and pi/4 are never admissible.
     """
-    _, c2, c3 = reduce_to_weyl(target)
+    _, c2, c3 = _chamber_point(target)
     return _intervals(c2, c3)
 
 
 def spe_params(p, target) -> list:
     """Middle-layer solutions for synthesizing target with C[phi].
 
+    target is a coordinate triple or a 4x4 gate; ValueError otherwise.
     One solution per feasible branch, in the order (sols1, sols2), with
     a = a0 and b = b0 carrying the sign of c3 (see the module
     docstring); a branch is feasible within 1e-12 rad of its interval.
@@ -280,7 +284,7 @@ def spe_params(p, target) -> list:
     error.
     """
     phi = _admissible_phi(p)
-    c = reduce_to_weyl(target)
+    c = _chamber_point(target)
     return [
         SynthesisSolution(phi=phi, a=a0, b=b0 if c.c3 >= 0 else -b0, branch=branch)
         for branch, a0, b0 in _branch_roots(phi, c.c2, c.c3)[0]
@@ -305,6 +309,7 @@ def _core_circuit(c: CanonicalCoords, sol: SynthesisSolution) -> Circuit:
 def synthesize(target, p) -> Circuit:
     """Compile a target gate or class into exactly two C[phi] applications.
 
+    target is a coordinate triple or a 4x4 gate; ValueError otherwise.
     Coordinate targets produce the bare two-application circuit whose
     class matches the target; each solution from spe_params, sols1
     first, is tested by the class test of verify_equivalence on its
@@ -319,17 +324,12 @@ def synthesize(target, p) -> Circuit:
     residual against the target, at most 1e-7, certifies the result.
     A larger residual raises ConsistencyError.
     """
-    shape = np.shape(target)
-    if shape == (4, 4):
-        gate = as_gate(target)
-        a1, chamber, a2, _ = _kak_locals(gate)
-    elif shape == (3,):
-        gate = None
-        chamber = reduce_to_weyl(target)
+    gate, coords = _target(target)
+    if gate is None:
+        chamber = reduce_to_weyl(coords)
     else:
-        raise ValueError(
-            f"target must be a coordinate triple or a 4x4 gate, got shape {shape}"
-        )
+        # one decomposition gives the chamber point and the outer locals
+        a1, chamber, a2, _ = _kak_locals(gate)
 
     candidates = spe_params(p, chamber)
     cphi = spe_gate(p).matrix
@@ -395,14 +395,17 @@ def synthesize(target, p) -> Circuit:
 
 
 def verify_equivalence(c: Circuit, target) -> bool:
-    """Does the circuit implement the target class?
+    """Does the circuit implement the class of target?
 
+    target is a coordinate triple or a 4x4 gate; ValueError otherwise.
+    For both forms this is a class test, not a matrix comparison: a
+    circuit passes for every gate locally equivalent to the target.
     Checks the local invariants within 1e-8 and, independently, the
     extracted chamber coordinates within 1e-7, directly or across the
     face c1 = pi/4, where (pi/4, c2, c3) and (pi/4, c2, -c3) name one
     class (Zhang et al., PRA 67, 042313 (2003)).
     """
-    return _in_class(circuit_matrix(c), reduce_to_weyl(target))
+    return _in_class(circuit_matrix(c), _chamber_point(target))
 
 
 def _in_class(gate: GateMatrix, chamber: CanonicalCoords) -> bool:
@@ -446,6 +449,7 @@ def special_circuit(kind: str, p) -> Circuit:
 def feasible_phi_profile(target, grid_size: int) -> list:
     """Synthesis feasibility over a uniform phi grid inside (0, pi/4).
 
+    target is a coordinate triple or a 4x4 gate; ValueError otherwise.
     Returns [(phi, feasible), ...] for grid_size interior points; grid
     endpoints 0 and pi/4 are excluded since they are never admissible.
     phi is feasible when synthesis admits a branch there (_within);

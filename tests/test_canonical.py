@@ -262,7 +262,8 @@ def _numpy_fold(c):
 
 
 def _assert_fold_matches_numpy(c):
-    rep, ops = canonical._reduce_with_ops(c)
+    # the fold takes Python floats, as reduce_to_weyl passes them
+    rep, ops = canonical._reduce_with_ops(canonical._coords(c))
     want_rep, want_ops = _numpy_fold(c)
     assert [v.hex() for v in rep] == [v.hex() for v in want_rep], c
     assert ops == want_ops, c
@@ -437,6 +438,8 @@ def test_non_finite_coordinates_are_rejected(bad):
             reduce_to_weyl(c)
         with pytest.raises(ValueError, match="finite"):
             canonical_gate(c)
+        with pytest.raises(ValueError, match="finite"):
+            invariants_from_coords(c)
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_GATES))

@@ -34,6 +34,17 @@ def test_spe_params_validates_range():
         SpeParams(QUARTER + 0.01)
 
 
+def test_spe_params_stores_a_float():
+    for phi in (np.float64(0.2), np.array(0.2), 0):
+        assert type(SpeParams(phi).phi) is float
+
+
+@pytest.mark.parametrize("phi", [None, "0.3", [0.3], np.array([0.3]), 0.3j])
+def test_spe_gate_rejects_a_phi_that_is_not_a_real_number(phi):
+    with pytest.raises(ValueError, match="phi must be a real number"):
+        spe_gate(phi)
+
+
 def test_spe_gate_lives_on_the_family_segment():
     for phi in np.linspace(0.0, QUARTER, 9):
         c = extract_coordinates(spe_gate(phi))
@@ -238,3 +249,11 @@ def test_separability_probe_sorts_gates():
     assert separability_preservation_probe(local, n, seed=12) == 1.0
     assert separability_preservation_probe(CNOT, n, seed=13) < 0.01
     assert separability_preservation_probe(NAMED_GATES["b"], n, seed=14) < 0.01
+
+
+@pytest.mark.parametrize("theta", [None, "0.4", [0.4], np.array([0.4]), 0.4j])
+def test_witness_basis_rejects_a_theta_that_is_not_a_real_number(theta):
+    with pytest.raises(ValueError, match="theta must be a real number"):
+        witness_basis(theta, 0.1)
+    with pytest.raises(ValueError, match="theta must be a real number"):
+        witness_basis_for_gate(spe_gate(0.1), theta)

@@ -140,6 +140,16 @@ def test_phi_endpoints_are_rejected():
             synthesize((QUARTER, 0.1, 0.0), phi)
 
 
+@pytest.mark.parametrize("phi", [None, "0.3", [0.3], np.array([0.3]), 0.3j])
+def test_a_phi_that_is_not_a_real_number_is_rejected(phi):
+    with pytest.raises(ValueError, match="phi must be a real number"):
+        spe_params(phi, (QUARTER, 0.1, 0.0))
+    with pytest.raises(ValueError, match="phi must be a real number"):
+        synthesize((QUARTER, 0.1, 0.0), phi)
+    with pytest.raises(ValueError, match="phi must be a real number"):
+        SpeParams(phi)
+
+
 def test_synthesize_random_chamber_targets():
     rng = np.random.default_rng(93)
     for _ in range(25):
