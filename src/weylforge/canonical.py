@@ -31,6 +31,7 @@ from .linalg import (
     ConsistencyError,
     GateMatrix,
     _memoize,
+    _real,
     _trusted_gate,
     as_gate,
     eig_commuting_symmetric_pair,
@@ -186,9 +187,11 @@ def spectral_phases(c) -> SpectralPhases:
 
 
 def in_weyl_chamber(c, tol: float = _CHAMBER_SLACK) -> bool:
-    """Chamber predicate pi/4 >= c1 >= c2 >= |c3|, with slack tol radians
-    (default the chamber slack, 1e-12); the package's one settable slack."""
+    """Chamber predicate pi/4 >= c1 >= c2 >= |c3|, with slack tol radians,
+    finite and >= 0 (default 1e-12, the chamber slack): the only settable
+    tolerance on coordinates, as GateMatrix's unitarity is on gates."""
     c1, c2, c3 = _coords(c)
+    tol = _real("tol", tol, 0.0, want="a finite number >= 0")
     return c1 <= QUARTER + tol and c1 >= c2 - tol and c2 >= abs(c3) - tol
 
 

@@ -93,7 +93,7 @@ def _load_gate(spec: str, unitarity: float):
     try:
         with open(spec) as fh:
             data = json.load(fh)
-        matrix = _mat_from_lists(data["matrix"])
+        matrix = _mat_from_lists(data["matrix"], "matrix")
         gate = GateMatrix(matrix, unitarity)
     except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
         raise _CliError(2, f"cannot load gate from {spec!r}: {exc}")

@@ -40,14 +40,13 @@ nor the stream changes: the in-place steps are the same ufuncs, in the
 same order, as the allocating expressions they replace.
 """
 
-import operator
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ConsistencyError, as_gate
+from .linalg import ConsistencyError, _integer, as_gate
 from .canonical import _read_class, _target
 
 __all__ = [
@@ -170,19 +169,9 @@ def entangling_power_closed(target) -> float:
     return float((3.0 - (f1 * f2 + f2 * f3 + f3 * f1)) / 18.0)
 
 
-def _integer(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _key_word(name: str, value) -> int:
     """value as one word of a Philox key: an integer in [0, 2**63)."""
-    k = _integer(name, value)
-    if not 0 <= k < _KEY_LIMIT:
-        raise ValueError(f"{name} must be an integer in [0, 2**63), got {value!r}")
-    return k
+    return _integer(name, value, 0, _KEY_LIMIT - 1, "an integer in [0, 2**63)")
 
 
 def haar_product_states(
@@ -194,9 +183,10 @@ def haar_product_states(
     uniform on [-1, 1], azimuth ph uniform).  The generator is keyed by
     (seed, batch_index), both integers in [0, 2**63), making batches
     mutually independent and the whole stream reproducible under any
-    work partition.  Each qubit's phase factor e = exp(i ph/2) is
-    computed once; e.conj() is bit-identical to exp(-i ph/2) and serves
-    the |1> amplitude.  This formula is part of the stream contract.
+    work partition; count is an integer >= 0 (ValueError otherwise).
+    Each qubit's phase factor e = exp(i ph/2) is computed once; e.conj()
+    is bit-identical to exp(-i ph/2) and serves the |1> amplitude.  This
+    formula is part of the stream contract.
 
     out, as in numpy's ufuncs, is an optional (count, 4) complex128 array
     that receives the states and is returned; any other shape or dtype is
@@ -204,6 +194,7 @@ def haar_product_states(
     states written are bit-identical to those of the allocating call.
     """
     key = [_key_word("seed", seed), _key_word("batch_index", batch_index)]
+    count = _integer("count", count, 0, want="an integer >= 0")
     if out is None:
         out = np.empty((count, 4), dtype=complex)
     elif not (
@@ -252,10 +243,7 @@ def haar_product_states(
 def _sample_run(n, seed) -> tuple:
     """(n, seed) of a sampling run as plain ints, or ValueError: n a
     positive integer, seed an integer in [0, 2**63)."""
-    n = _integer("sample count", n)
-    if n < 1:
-        raise ValueError(f"sample count must be positive, got {n}")
-    return n, _key_word("seed", seed)
+    return _integer("sample count", n, 1, want="positive"), _key_word("seed", seed)
 
 
 def _batch_count(n: int) -> int:

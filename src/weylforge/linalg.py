@@ -8,10 +8,12 @@ checks a raw array once where it enters and stores the nearest unitary,
 so every later step trusts it, and which memoizes the two readings of
 its class that the other modules take; Kronecker composition, SU(4)
 normalization, the simultaneous diagonalizer for a commuting pair of
-real symmetric matrices, and the Kronecker-factor splitter.
+real symmetric matrices, the Kronecker-factor splitter, and the
+package's only scalar readers, ``_real`` and ``_integer``.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -55,6 +57,32 @@ class ConsistencyError(RuntimeError):
     """
 
 
+def _real(name: str, value, lo=-math.inf, hi=math.inf, want="finite") -> float:
+    """value as a finite float in [lo, hi]; else ValueError "{name} must be
+    a real number" (a string is not one) or "{name} must be {want}"."""
+    try:
+        if isinstance(value, str):
+            raise TypeError
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+    if not (lo <= x <= hi and math.isfinite(x)):
+        raise ValueError(f"{name} must be {want}, got {value!r}")
+    return x
+
+
+def _integer(name: str, value, lo=-math.inf, hi=math.inf, want="") -> int:
+    """operator.index(value) in [lo, hi]; else ValueError "{name} must be
+    an integer" or "{name} must be {want}"."""
+    try:
+        k = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not lo <= k <= hi:
+        raise ValueError(f"{name} must be {want}, got {value!r}")
+    return k
+
+
 class GateMatrix:
     """A 4x4 unitary, checked once where it enters.
 
@@ -62,8 +90,9 @@ class GateMatrix:
     (max |U+U - I|, default 1e-9); the stored read-only matrix is its
     nearest unitary, the polar factor W V+ of the SVD U = W S V+.
     ``unitarity`` must be a finite number >= 0, else ValueError.  It is
-    the package's only settable tolerance: every function that takes a
-    gate takes this one as it is, and checks a raw array at the default.
+    the only settable tolerance on gates (in_weyl_chamber's tol is one on
+    coordinates): every function that takes a gate takes this one as it
+    is, and checks a raw array at the default.
     ``unitarity_residual`` is the input's residual before projection;
     gates built in closed form carry their source's, or 0.0.
 
@@ -84,12 +113,7 @@ class GateMatrix:
     shape = (4, 4)
 
     def __init__(self, matrix, unitarity: float = _UNITARITY_TOL):
-        unitarity = float(unitarity)
-        # NaN fails the comparison too
-        if not 0.0 <= unitarity < math.inf:
-            raise ValueError(
-                f"unitarity tolerance must be a finite number >= 0, got {unitarity!r}"
-            )
+        unitarity = _real("unitarity tolerance", unitarity, 0.0, want="a finite number >= 0")
         try:
             m = np.array(matrix, dtype=complex)
         except (TypeError, ValueError):

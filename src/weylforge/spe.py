@@ -18,12 +18,11 @@ angle theta, a concrete product basis whose four images are all
 maximally entangled.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import GateMatrix, as_gate, kron2
+from .linalg import GateMatrix, _real, as_gate, kron2
 from .canonical import (
     QUARTER,
     CanonicalCoords,
@@ -47,17 +46,6 @@ __all__ = [
 ]
 
 
-def _real(name: str, value) -> float:
-    """value as a float; ValueError naming it unless it is a real number
-    (a string is not)."""
-    try:
-        if isinstance(value, str):
-            raise TypeError
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a real number, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class SpeParams:
     """Family parameter phi, radians in [0, pi/4]; any real number in that
@@ -66,9 +54,7 @@ class SpeParams:
     phi: float
 
     def __post_init__(self):
-        phi = _real("phi", self.phi)
-        if not 0.0 <= phi <= QUARTER + _CHAMBER_SLACK:
-            raise ValueError(f"phi = {phi!r} outside [0, pi/4]")
+        phi = _real("phi", self.phi, 0.0, QUARTER + _CHAMBER_SLACK, "in [0, pi/4]")
         object.__setattr__(self, "phi", phi)
 
 
@@ -121,8 +107,6 @@ def witness_basis(theta: float, p) -> WitnessBasis:
     arbitrary SPE matrix, see witness_basis_for_gate.
     """
     theta = _real("theta", theta)
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
     phi = _phi(p)
     a = complex(np.cos(theta))
     b = np.exp(2j * phi) * np.sin(theta)
@@ -153,8 +137,10 @@ def witness_basis_for_gate(g, theta: float):
     through the decomposition locals rather than reused as is.  Returns
     the four transported basis vectors as rows.
 
-    Raises ValueError when g is not a special perfect entangler.
+    Raises ValueError when theta is not a finite real number, or when g
+    is not a special perfect entangler.
     """
+    theta = _real("theta", theta)
     factors = kak_decompose(g)
     if not is_spe(factors.core):
         raise ValueError(

@@ -54,6 +54,8 @@ import numpy as np
 from .linalg import (
     ConsistencyError,
     GateMatrix,
+    _integer,
+    _real,
     _trusted_gate,
     kron2,
     rot_y,
@@ -124,14 +126,18 @@ class SynthesisSolution:
 
 @dataclass(frozen=True)
 class NonlocalLayer:
-    """One application of C[phi]."""
+    """One application of C[phi]; phi in [0, pi/4], as SpeParams reads it."""
 
     phi: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "phi", _phi(self.phi))
 
 
 @dataclass(frozen=True)
 class LocalLayer:
-    """Simultaneous single-qubit operations; top acts on qubit 0."""
+    """Simultaneous single-qubit operations; top acts on qubit 0.  Each
+    is a finite 2x2 matrix (ValueError otherwise)."""
 
     top: np.ndarray
     bottom: np.ndarray
@@ -141,19 +147,27 @@ class LocalLayer:
             m = np.array(getattr(self, name), dtype=complex)
             if m.shape != (2, 2):
                 raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
+            if not np.isfinite(m).all():
+                raise ValueError(f"{name} contains non-finite entries")
             m.setflags(write=False)
             object.__setattr__(self, name, m)
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate layers (leftmost acts first) plus a global phase."""
+    """Ordered NonlocalLayer and LocalLayer layers (leftmost acts first)
+    plus a finite global phase; anything else is a ValueError."""
 
     layers: tuple
     global_phase: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
+        layers = tuple(self.layers)
+        for layer in layers:
+            if not isinstance(layer, (NonlocalLayer, LocalLayer)):
+                raise ValueError(f"unknown layer type {type(layer).__name__}")
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "global_phase", _real("global_phase", self.global_phase))
 
     def nonlocal_count(self) -> int:
         return sum(1 for layer in self.layers if isinstance(layer, NonlocalLayer))
@@ -165,10 +179,8 @@ def _product(c: Circuit) -> np.ndarray:
     for layer in c.layers:
         if isinstance(layer, NonlocalLayer):
             m = spe_gate(layer.phi).matrix
-        elif isinstance(layer, LocalLayer):
-            m = kron2(layer.top, layer.bottom)
         else:
-            raise TypeError(f"unknown layer type {type(layer).__name__}")
+            m = kron2(layer.top, layer.bottom)
         total = m @ total
     return np.exp(1j * c.global_phase) * total
 
@@ -455,8 +467,7 @@ def feasible_phi_profile(target, grid_size: int) -> list:
     phi is feasible when synthesis admits a branch there (_within);
     infeasibility_reasons says why each branch fails elsewhere.
     """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+    grid_size = _integer("grid_size", grid_size, 2, want="at least 2")
     intervals = feasible_phi_intervals(target)
     grid = [(k + 1) * QUARTER / (grid_size + 1) for k in range(grid_size)]
     return [(phi, any(_within(phi, lo, hi) for _, lo, hi in intervals)) for phi in grid]
@@ -471,11 +482,19 @@ def _mat_to_lists(m) -> list:
     return a.view(float).reshape(a.shape + (2,)).tolist()
 
 
-def _mat_from_lists(rows) -> np.ndarray:
-    return np.array(
-        [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-        dtype=complex,
-    )
+def _mat_from_lists(rows, name: str) -> np.ndarray:
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be rows of [re, im] number pairs") from None
+
+
+def _field(data, key: str):
+    """data[key] of a serialized circuit or layer, or ValueError naming key."""
+    try:
+        return data[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"serialized circuit has no field {key!r}") from None
 
 
 def circuit_to_dict(c: Circuit) -> dict:
@@ -483,8 +502,8 @@ def circuit_to_dict(c: Circuit) -> dict:
     layers = []
     for layer in c.layers:
         if isinstance(layer, NonlocalLayer):
-            layers.append({"kind": "nonlocal", "phi": float(layer.phi)})
-        elif isinstance(layer, LocalLayer):
+            layers.append({"kind": "nonlocal", "phi": layer.phi})
+        else:
             layers.append(
                 {
                     "kind": "local",
@@ -492,25 +511,23 @@ def circuit_to_dict(c: Circuit) -> dict:
                     "bottom": _mat_to_lists(layer.bottom),
                 }
             )
-        else:
-            raise TypeError(f"unknown layer type {type(layer).__name__}")
-    return {"layers": layers, "global_phase": float(c.global_phase)}
+    return {"layers": layers, "global_phase": c.global_phase}
 
 
 def circuit_from_dict(data: dict) -> Circuit:
-    """Rebuild a circuit from its serialized form."""
+    """Rebuild a circuit from its serialized form; a missing or malformed
+    field is a ValueError naming it."""
+    entries = _field(data, "layers")
+    if not isinstance(entries, list):
+        raise ValueError(f"layers must be a list, got {entries!r}")
     layers = []
-    for entry in data["layers"]:
-        kind = entry["kind"]
+    for entry in entries:
+        kind = _field(entry, "kind")
         if kind == "nonlocal":
-            layers.append(NonlocalLayer(phi=float(entry["phi"])))
+            layers.append(NonlocalLayer(phi=_field(entry, "phi")))
         elif kind == "local":
-            layers.append(
-                LocalLayer(
-                    top=_mat_from_lists(entry["top"]),
-                    bottom=_mat_from_lists(entry["bottom"]),
-                )
-            )
+            top, bottom = (_mat_from_lists(_field(entry, k), k) for k in ("top", "bottom"))
+            layers.append(LocalLayer(top=top, bottom=bottom))
         else:
             raise ValueError(f"unknown layer kind {kind!r}")
-    return Circuit(layers=tuple(layers), global_phase=float(data.get("global_phase", 0.0)))
+    return Circuit(layers=tuple(layers), global_phase=data.get("global_phase", 0.0))
