@@ -1,11 +1,12 @@
 """Pure-state entanglement measures and gate entangling power.
 
 State conventions: a two-qubit pure state is a length-4 complex vector
-over |00>, |01>, |10>, |11| with unit norm.  The magic basis used for
-the separability and maximal-entanglement criteria is the phase-fixed
-Bell family {Phi+, -i Phi-, Psi-, -i Psi+}; in that basis a state is
-separable exactly when its squared coefficients sum to zero, and
-maximally entangled exactly when they all carry one common phase.
+over |00>, |01>, |10>, |11| with unit norm; the four state measures
+refuse anything else with a ValueError naming s.  The magic basis used
+for the separability and maximal-entanglement criteria is the
+phase-fixed Bell family {Phi+, -i Phi-, Psi-, -i Psi+}; in that basis a
+state is separable exactly when its squared coefficients sum to zero,
+and maximally entangled exactly when they all carry one common phase.
 
 Entangling power of a gate is the average output linear entropy over
 Haar-random product inputs; it has the closed form
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ConsistencyError, _integer, as_gate
+from .linalg import ConsistencyError, _array, _integer, as_gate
 from .canonical import _read_class, _target
 
 __all__ = [
@@ -94,12 +95,9 @@ class EpEstimate:
 
 
 def _state(s) -> np.ndarray:
-    v = np.asarray(s, dtype=complex).reshape(-1)
-    if v.shape != (4,):
-        raise ValueError(f"expected a length-4 state vector, got shape {v.shape}")
+    v = _array("s", s, (4,))
     norm2 = float(np.vdot(v, v).real)
-    # a non-finite entry makes norm2 inf or NaN, and NaN fails this too
-    if not abs(norm2 - 1.0) <= 1e-12:
+    if abs(norm2 - 1.0) > 1e-12:
         raise ValueError(f"state is not normalized: |s|^2 = {norm2!r}")
     return v
 

@@ -9,7 +9,8 @@ so every later step trusts it, and which memoizes the two readings of
 its class that the other modules take; Kronecker composition, SU(4)
 normalization, the simultaneous diagonalizer for a commuting pair of
 real symmetric matrices, the Kronecker-factor splitter, and the
-package's only scalar readers, ``_real`` and ``_integer``.
+package's only argument readers: ``_real`` and ``_integer`` for scalars,
+``_array`` for arrays.
 """
 
 import math
@@ -83,12 +84,32 @@ def _integer(name: str, value, lo=-math.inf, hi=math.inf, want="") -> int:
     return k
 
 
+def _array(name: str, value, shape: tuple, dtype=complex) -> np.ndarray:
+    """value as a new finite array of dtype and shape; else ValueError
+    "{name} must be a RxC array of numbers" (a string is not a number, nor
+    is a complex entry where dtype is float), "{name} must be RxC", each
+    naming the shape it got, or "{name} contains non-finite entries"."""
+    size = "x".join(map(str, shape)) if len(shape) > 1 else f"length-{shape[0]}"
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged rows
+        a = np.array(value, dtype=object)
+    if a.dtype.kind not in ("biufc" if dtype is complex else "biuf"):
+        raise ValueError(f"{name} must be a {size} array of numbers, got shape {a.shape}")
+    if a.shape != shape:
+        raise ValueError(f"{name} must be {size}, got shape {a.shape}")
+    a = np.array(a, dtype=dtype)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
 class GateMatrix:
     """A 4x4 unitary, checked once where it enters.
 
     A raw array must be 4x4, finite and within ``unitarity`` of unitary
-    (max |U+U - I|, default 1e-9); the stored read-only matrix is its
-    nearest unitary, the polar factor W V+ of the SVD U = W S V+.
+    (max |U+U - I|, default 1e-9), else a ValueError naming matrix; the
+    stored read-only matrix is its nearest unitary, the polar factor W V+.
     ``unitarity`` must be a finite number >= 0, else ValueError.  It is
     the only settable tolerance on gates (in_weyl_chamber's tol is one on
     coordinates): every function that takes a gate takes this one as it
@@ -114,16 +135,7 @@ class GateMatrix:
 
     def __init__(self, matrix, unitarity: float = _UNITARITY_TOL):
         unitarity = _real("unitarity tolerance", unitarity, 0.0, want="a finite number >= 0")
-        try:
-            m = np.array(matrix, dtype=complex)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"expected a 4x4 matrix of numbers, got shape {np.shape(matrix)}"
-            ) from None
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix contains non-finite entries")
+        m = _array("matrix", matrix, (4, 4))
         residual = float(np.abs(m.conj().T @ m - np.eye(4)).max())
         if residual > unitarity:
             raise ValueError(
@@ -229,7 +241,7 @@ def eig_commuting_symmetric_pair(x, y):
 
     Parameters
     ----------
-    x, y : (4, 4) array_like, real symmetric, with ||XY - YX||_max <= 1e-8.
+    x, y : (4, 4) finite real, symmetric, ||XY - YX||_max <= 1e-8; else ValueError.
 
     Returns
     -------
@@ -253,10 +265,8 @@ def eig_commuting_symmetric_pair(x, y):
     {+-1}, {+-2}, {+-3}; one class is left, and the weights m = 1, 2, 3, 0
     keep all six differences at least pi/14 away at one of them.
     """
-    X = np.array(x, dtype=float)
-    Y = np.array(y, dtype=float)
-    if X.shape != (4, 4) or Y.shape != (4, 4):
-        raise ValueError("inputs must be 4x4")
+    X = _array("x", x, (4, 4), float)
+    Y = _array("y", y, (4, 4), float)
     sym = max(np.abs(X - X.T).max(), np.abs(Y - Y.T).max())
     if sym > _RESIDUAL_TOL:
         raise ValueError(f"inputs are not symmetric (residual {sym:.3e})")
@@ -288,9 +298,10 @@ def split_local(m):
     reshuffling m so that kron() becomes an outer product reduces the
     problem to the leading singular vector pair.
 
-    Raises ConsistencyError if m is not a Kronecker product within 1e-8.
+    Raises ValueError naming m unless it is a 4x4 array of finite numbers,
+    and ConsistencyError if it is not a Kronecker product within 1e-8.
     """
-    M = np.asarray(m, dtype=complex)
+    M = _array("m", m, (4, 4))
     R = M.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     u, s, vh = np.linalg.svd(R)
     a = (u[:, 0] * np.sqrt(s[0])).reshape(2, 2)

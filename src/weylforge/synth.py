@@ -54,6 +54,7 @@ import numpy as np
 from .linalg import (
     ConsistencyError,
     GateMatrix,
+    _array,
     _integer,
     _real,
     _trusted_gate,
@@ -137,18 +138,14 @@ class NonlocalLayer:
 @dataclass(frozen=True)
 class LocalLayer:
     """Simultaneous single-qubit operations; top acts on qubit 0.  Each
-    is a finite 2x2 matrix (ValueError otherwise)."""
+    is a 2x2 array of finite numbers (else a ValueError naming it)."""
 
     top: np.ndarray
     bottom: np.ndarray
 
     def __post_init__(self):
         for name in ("top", "bottom"):
-            m = np.array(getattr(self, name), dtype=complex)
-            if m.shape != (2, 2):
-                raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
-            if not np.isfinite(m).all():
-                raise ValueError(f"{name} contains non-finite entries")
+            m = _array(name, getattr(self, name), (2, 2))
             m.setflags(write=False)
             object.__setattr__(self, name, m)
 
@@ -162,6 +159,8 @@ class Circuit:
     global_phase: float = 0.0
 
     def __post_init__(self):
+        if not np.iterable(self.layers):
+            raise ValueError(f"layers must be a sequence of layers, got {self.layers!r}")
         layers = tuple(self.layers)
         for layer in layers:
             if not isinstance(layer, (NonlocalLayer, LocalLayer)):

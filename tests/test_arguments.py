@@ -1,4 +1,4 @@
-"""Every public scalar argument, against every malformed form.
+"""Every public scalar and array argument, against every malformed form.
 
 A scalar is read once, by linalg._real (a finite float in a range; a
 string is never a number) or linalg._integer (operator.index in a
@@ -10,6 +10,14 @@ its range, and each call must raise ValueError, so a TypeError or a
 silent answer fails.  A guard walks the public API so a new scalar
 parameter cannot miss the readers, and the serialized-circuit reader
 gets a battery of malformed dicts.
+
+An array is read once, by linalg._array (a new finite array of one
+shape and dtype); it raises ValueError "{name} must be a RxC array of
+numbers", "{name} must be RxC" or "{name} contains non-finite entries".
+A second table calls each array parameter with None, a string, object
+entries, ragged rows, numeric strings, a wrong shape, NaN and inf, and a
+real one with complex entries too; a second guard walks the public API
+for array parameters.
 """
 
 import inspect
@@ -193,9 +201,13 @@ def test_a_numpy_scalar_is_read_as_a_plain_number():
 
 
 def test_the_readers_live_in_linalg_alone():
-    # no other module defines a scalar reader or calls operator.index
+    # no other module defines a scalar or array reader, calls
+    # operator.index or words the non-finite array message
     src = pathlib.Path(wf.__file__).parent
-    pattern = re.compile(r"def _(real|integer)\b|operator\.index|^import operator")
+    pattern = re.compile(
+        r"def _(real|integer|array)\b|operator\.index|^import operator"
+        r"|contains non-finite entries"
+    )
     hits = [
         f"{path.name}:{n}"
         for path in sorted(src.glob("*.py"))
@@ -206,6 +218,125 @@ def test_the_readers_live_in_linalg_alone():
     assert hits == []
     linalg = (src / "linalg.py").read_text()
     assert "def _real(" in linalg and "def _integer(" in linalg
+    assert "def _array(" in linalg and "contains non-finite entries" in linalg
+
+
+# arrays
+
+# parameter names that carry an array
+ARRAYS = {"matrix", "x", "y", "m", "basis", "s", "top", "bottom", "out"}
+# every other parameter name of the public API: gates and coordinate
+# triples (canonical._target, canonical._coords, linalg.as_gate), a
+# serialized circuit, a circuit kind and a circuit's layers
+OTHERS = {"g", "target", "c", "coords", "a", "b", "data", "kind", "layers"}
+# an unchecked kernel on the synthesis hot path
+ARRAY_KERNELS = {"kron2"}
+# written in place, not read; haar_product_states checks it itself
+WRITTEN = {("haar_product_states", "out")}
+
+# (callable, parameter) -> the shape the parameter must have
+ARRAY_TABLE = {
+    ("GateMatrix", "matrix"): (4, 4),
+    ("eig_commuting_symmetric_pair", "x"): (4, 4),
+    ("eig_commuting_symmetric_pair", "y"): (4, 4),
+    ("split_local", "m"): (4, 4),
+    ("check_basis_images", "basis"): (4, 4),
+    ("concurrence_pure", "s"): (4,),
+    ("linear_entropy", "s"): (4,),
+    ("magic_coefficients", "s"): (4,),
+    ("classify_state", "s"): (4,),
+    ("LocalLayer", "top"): (2, 2),
+    ("LocalLayer", "bottom"): (2, 2),
+}
+# read as real arrays, so a complex entry is malformed too
+REAL = {"x", "y"}
+
+VALID.update(
+    x=np.diag([1.0, 2.0, 3.0, 4.0]),
+    y=np.eye(4),
+    m=wf.kron2(wf.rot_y(0.3), wf.rot_z(0.2)),
+    basis=np.eye(4),
+    s=np.array([1.0, 0.0, 0.0, 0.0]),
+    top=np.eye(2),
+    bottom=np.eye(2),
+)
+
+
+def _public_signatures():
+    """(name, parameter names) of the public callables, the kernels,
+    records and exception classes left out."""
+    for name in wf.__all__:
+        obj = getattr(wf, name)
+        if not callable(obj) or name in KERNELS | ARRAY_KERNELS | RECORDS:
+            continue
+        if not (isinstance(obj, type) and issubclass(obj, Exception)):
+            yield name, set(inspect.signature(obj).parameters)
+
+
+def test_the_array_takers_are_the_table():
+    found = {(name, p) for name, params in _public_signatures() for p in params & ARRAYS}
+    assert found - WRITTEN == set(ARRAY_TABLE)
+    assert WRITTEN <= found and ARRAY_KERNELS <= set(wf.__all__)
+
+
+def test_every_public_parameter_name_is_sorted():
+    # a new name must join SCALARS, ARRAYS or OTHERS before it is public
+    for name, params in _public_signatures():
+        assert params <= SCALARS | ARRAYS | OTHERS, name
+
+
+@pytest.mark.parametrize("name,param", sorted(ARRAY_TABLE))
+def test_each_array_takes_a_valid_value(name, param):
+    _call(name, param, VALID[param])
+
+
+def _nested(shape, entry) -> list:
+    return [entry] * shape[0] if len(shape) == 1 else [[entry] * shape[1]] * shape[0]
+
+
+def _bad_arrays(param, shape):
+    """form -> a malformed value of an array parameter of that shape."""
+    valid = np.array(VALID[param], dtype=float if param in REAL else complex)
+    nan, inf = valid.copy(), valid.copy()
+    nan.flat[0], inf.flat[-1] = math.nan, math.inf
+    bad = {
+        "None": None,
+        "'ab'": "ab",
+        "objects": _nested(shape, object()),
+        "ragged": (
+            [1, [0, 0], 0, 0]
+            if len(shape) == 1
+            else [[0] * shape[1]] * (shape[0] - 1) + [[0] * (shape[1] - 1)]
+        ),
+        "numeric strings": _nested(shape, "1"),
+        # the four entries of a normalized state, as a 2x2 matrix
+        "wrong shape": {(4,): np.eye(2) / math.sqrt(2), (2, 2): np.eye(4)}.get(shape, np.eye(2)),
+        "nan": nan,
+        "inf": inf,
+    }
+    if param in REAL:
+        bad["complex"] = valid * (1 + 1j)
+    return bad
+
+
+def _malformed_arrays():
+    for (name, param), shape in sorted(ARRAY_TABLE.items()):
+        for form, value in _bad_arrays(param, shape).items():
+            yield pytest.param(name, param, value, id=f"{name}-{param}-{form}")
+
+
+@pytest.mark.parametrize("name,param,value", _malformed_arrays())
+def test_each_array_rejects_a_malformed_value_naming_it(name, param, value):
+    # pytest.raises(ValueError) lets a TypeError through as a failure, and
+    # the warnings filter turns a numpy warning into a failure too
+    with pytest.raises(ValueError, match=f"^{param} (must be|contains non-finite entries)"):
+        _call(name, param, value)
+
+
+@pytest.mark.parametrize("layers", [5, None])
+def test_a_circuit_names_layers_that_are_not_a_sequence(layers):
+    with pytest.raises(ValueError, match="^layers must be a sequence of layers"):
+        wf.Circuit(layers=layers)
 
 
 # circuits

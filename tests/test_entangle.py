@@ -73,7 +73,7 @@ def test_state_validation():
 )
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
 def test_state_measures_reject_non_finite_entries(measure, bad):
-    with pytest.raises(ValueError, match="not normalized"):
+    with pytest.raises(ValueError, match="non-finite"):
         measure(np.array([bad, 0, 0, 0], dtype=complex))
 
 

@@ -194,6 +194,23 @@ def test_check_basis_images_rejects_non_orthonormal_rows():
         check_basis_images(spe_gate(0.2), basis)
 
 
+def test_a_basis_that_passes_its_gram_test_gets_its_concurrences():
+    # |s|^2 = 1 + 2e-10 per row: within the 1e-9 Gram test, outside the
+    # 1e-12 norm test of concurrence_pure, which the images do not take
+    basis = np.eye(4) * (1 + 1e-10)
+    assert check_basis_images(CNOT, basis).tolist() == [0.0] * 4
+    g = NAMED_GATES["b"]
+    assert np.abs(check_basis_images(g, basis) - check_basis_images(g, np.eye(4))).max() <= 1e-9
+
+
+def test_the_image_concurrences_are_those_of_concurrence_pure():
+    # check_basis_images repeats concurrence_pure's arithmetic, bit for bit
+    g = spe_gate(0.2)
+    basis = witness_basis_for_gate(g, 0.4)
+    want = [concurrence_pure(v) for v in basis @ g.matrix.T]
+    assert check_basis_images(g, basis).tolist() == want
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, 1.0)])
 def test_check_basis_images_rejects_non_finite_entries(bad):
     basis = witness_basis(0.4, 0.2).states.copy()
