@@ -4,163 +4,29 @@ Classify any 4x4 unitary by its nonlocal content (canonical coordinates,
 local invariants, entangling power, perfect-entangler status) and
 compile arbitrary two-qubit gates into two applications of a special
 perfect entangler C[phi] plus single-qubit layers.
+
+The package exports exactly the names its modules list in their
+``__all__``.
 """
 
-from .linalg import (
-    ConsistencyError,
-    GateMatrix,
-    as_gate,
-    kron2,
-    su4_normalize,
-    eig_commuting_symmetric_pair,
-    split_local,
-    rot_x,
-    rot_y,
-    rot_z,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-)
-from .invariants import (
-    MAGIC_FRAME,
-    LocalInvariants,
-    m_matrix,
-    local_invariants,
-    invariants_from_coords,
-    is_perfect_entangler,
-)
-from .canonical import (
-    CanonicalCoords,
-    SpectralPhases,
-    KakFactors,
-    canonical_gate,
-    spectral_phases,
-    in_weyl_chamber,
-    reduce_to_weyl,
-    coords_equivalent,
-    extract_coordinates,
-    kak_decompose,
-)
-from .entangle import (
-    MAGIC_STATES,
-    EpEstimate,
-    concurrence_pure,
-    linear_entropy,
-    magic_coefficients,
-    classify_state,
-    entangling_power_closed,
-    entangling_power_mc,
-    haar_product_states,
-)
-from .spe import (
-    SpeParams,
-    WitnessBasis,
-    spe_gate,
-    is_spe,
-    witness_basis,
-    witness_basis_for_gate,
-    check_basis_images,
-    separability_preservation_probe,
-)
-from .synth import (
-    UnsupportedPhiError,
-    InfeasibleSynthesisError,
-    SynthesisSolution,
-    NonlocalLayer,
-    LocalLayer,
-    Circuit,
-    spe_params,
-    synthesize,
-    special_circuit,
-    circuit_matrix,
-    verify_equivalence,
-    feasible_phi_intervals,
-    feasible_phi_profile,
-    infeasibility_reasons,
-    circuit_to_dict,
-    circuit_from_dict,
-)
-from .gates import (
-    IDENTITY,
-    CNOT,
-    DCNOT,
-    SWAP,
-    SQRT_SWAP,
-    B_GATE,
-    NAMED_GATES,
-)
+from . import canonical, entangle, gates, invariants, linalg, spe, synth
+from .linalg import *  # noqa: F403
+from .invariants import *  # noqa: F403
+from .canonical import *  # noqa: F403
+from .entangle import *  # noqa: F403
+from .spe import *  # noqa: F403
+from .synth import *  # noqa: F403
+from .gates import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConsistencyError",
-    "GateMatrix",
-    "as_gate",
-    "kron2",
-    "su4_normalize",
-    "eig_commuting_symmetric_pair",
-    "split_local",
-    "rot_x",
-    "rot_y",
-    "rot_z",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "MAGIC_FRAME",
-    "LocalInvariants",
-    "m_matrix",
-    "local_invariants",
-    "invariants_from_coords",
-    "is_perfect_entangler",
-    "CanonicalCoords",
-    "SpectralPhases",
-    "KakFactors",
-    "canonical_gate",
-    "spectral_phases",
-    "in_weyl_chamber",
-    "reduce_to_weyl",
-    "coords_equivalent",
-    "extract_coordinates",
-    "kak_decompose",
-    "MAGIC_STATES",
-    "EpEstimate",
-    "concurrence_pure",
-    "linear_entropy",
-    "magic_coefficients",
-    "classify_state",
-    "entangling_power_closed",
-    "entangling_power_mc",
-    "haar_product_states",
-    "SpeParams",
-    "WitnessBasis",
-    "spe_gate",
-    "is_spe",
-    "witness_basis",
-    "witness_basis_for_gate",
-    "check_basis_images",
-    "separability_preservation_probe",
-    "UnsupportedPhiError",
-    "InfeasibleSynthesisError",
-    "SynthesisSolution",
-    "NonlocalLayer",
-    "LocalLayer",
-    "Circuit",
-    "spe_params",
-    "synthesize",
-    "special_circuit",
-    "circuit_matrix",
-    "verify_equivalence",
-    "feasible_phi_intervals",
-    "feasible_phi_profile",
-    "infeasibility_reasons",
-    "circuit_to_dict",
-    "circuit_from_dict",
-    "IDENTITY",
-    "CNOT",
-    "DCNOT",
-    "SWAP",
-    "SQRT_SWAP",
-    "B_GATE",
-    "NAMED_GATES",
+    *linalg.__all__,
+    *invariants.__all__,
+    *canonical.__all__,
+    *entangle.__all__,
+    *spe.__all__,
+    *synth.__all__,
+    *gates.__all__,
     "__version__",
 ]

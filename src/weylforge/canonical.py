@@ -15,8 +15,8 @@ not a search (Zhang et al., PRA 67, 042313 (2003)): shift into
 settle the sign of c3 on the c1 = pi/4 face.
 
 This module builds the core gate, reduces arbitrary triples to the
-chamber, recovers coordinates from a matrix, and performs the full
-decomposition.
+chamber, reads a matrix's class once, and builds the full decomposition
+from that one reading.
 """
 
 import functools
@@ -30,11 +30,11 @@ from .linalg import (
     PAULIS,
     ConsistencyError,
     GateMatrix,
+    _gate,
+    _joint_diagonalize,
     _memoize,
     _real,
     _trusted_gate,
-    as_gate,
-    eig_commuting_symmetric_pair,
     kron2,
     rot_x,
     rot_y,
@@ -123,13 +123,13 @@ def _target(t):
     """(gate, None) for a gate, (None, coords) for a coordinate triple.
 
     The one reader of a target argument: a GateMatrix or any 4x4
-    array-like becomes as_gate(t); a shape-(3,) triple becomes _coords(t),
-    finite floats not yet folded.  Anything else, a string included, is a
-    ValueError naming the shape.
+    array-like is read by linalg._gate, its errors naming target; a
+    shape-(3,) triple becomes _coords(t), finite floats not yet folded.
+    Anything else, a string included, is a ValueError naming the shape.
     """
     shape = np.shape(t)
     if shape == (4, 4):
-        return as_gate(t), None
+        return _gate("target", t), None
     if shape == (3,):
         return None, _coords(t)
     raise ValueError(f"expected a coordinate triple or a 4x4 gate, got shape {shape}")
@@ -364,8 +364,9 @@ def extract_coordinates(g) -> CanonicalCoords:
     """Chamber coordinates of the class of an arbitrary two-qubit gate.
 
     The magic-frame Gram matrix of the determinant-normalized gate has
-    eigenvalues e^{-2i lam_k}.  Halving the computed phases gives the
-    lam's up to ordering and mod-pi branches; the linear inversion
+    eigenvalues e^{-2i lam_k}, which one joint eigensolve of its real and
+    imaginary parts reads.  Halving their phases gives the lam's up to
+    ordering and mod-pi branches; the linear inversion
 
         c1 = (lam1+lam4)/2,  c2 = (lam2+lam4)/2,  c3 = (lam1+lam2)/2
 
@@ -376,31 +377,45 @@ def extract_coordinates(g) -> CanonicalCoords:
     two coordinates by pi/2, both of which the fold absorbs.  On the
     face c1 = pi/4 the fold returns c3 >= 0.  The result is
     cross-checked against the gate's local invariants, read off the same
-    Gram matrix (det = 1 after normalization).  A GateMatrix keeps the
-    reading, so local_invariants and is_perfect_entangler on the same
-    gate read nothing again.
+    Gram matrix.  A GateMatrix keeps this one reading (_read_class), so
+    every other question about the gate reads nothing again, and
+    kak_decompose(g).core is this point, bit for bit.
     """
     return _read_class(g)[1]
 
 
 def _read_class(g):
-    """(invariants, coordinates) of g off one Gram matrix; see extract_coordinates.
+    """(invariants, coords, normalized matrix, frame, lam, (K, pat, perm)).
 
-    Memoized on the gate (GateMatrix._reading): a gate's class is read once.
-    """
-    gate = as_gate(g)
+    The one spectral reading of g (see extract_coordinates), memoized on
+    the gate: one normalization, Gram matrix, joint eigensolve and fold.
+    The fold's bookkeeping is checked within 1e-10, and the chamber point
+    against the Gram invariants within 1e-7."""
+    gate = _gate("g", g)
     if gate._reading is not None:
         return gate._reading
-    m = m_matrix(su4_normalize(gate))
+    normalized = su4_normalize(gate)
+    m = m_matrix(normalized)
     target = _gram_invariants(m)
-    l1, l2, _, l4 = -np.angle(np.linalg.eigvals(m)) / 2.0
-    rep = reduce_to_weyl(((l1 + l4) / 2, (l2 + l4) / 2, (l1 + l2) / 2))
+    frame, diagonal = _joint_diagonalize(m)
+    lam = -np.angle(diagonal) / 2.0
+    # det 1 forces sum(lam) to a multiple of pi; an odd multiple would put
+    # the frame product in the wrong SO(4) component, so shift one branch
+    total = float(lam.sum())
+    if round(total / math.pi) % 2 != 0:
+        lam[0] -= math.copysign(math.pi, total)
+    raw = _raw_core(lam.tolist())
+    cand, (K, pat, perm) = _reduce_with_ops(raw)
+    moved = [pat[i] * (raw[i] + K[i] * HALF) for i in perm]
+    if max(abs(x - y) for x, y in zip(moved, cand)) > 1e-10:
+        raise ConsistencyError("chamber fix-up bookkeeping mismatch")
+    rep = _snap_to_chamber(cand)
     got = invariants_from_coords(rep)
     if abs(got.g1 - target.g1) > 1e-7 or abs(got.g2 - target.g2) > 1e-7:
         raise ConsistencyError(
             f"coordinates {tuple(rep)} do not reproduce the gate invariants"
         )
-    return _memoize(gate, "_reading", (target, rep))
+    return _memoize(gate, (target, rep, normalized.matrix, frame, lam, (K, pat, perm)))
 
 
 @functools.cache
@@ -410,7 +425,7 @@ def _fixup_products(k4, pat, perm):
     The locals depend on the group element alone, and on each shift K
     only through K mod 4 (the power of i sigma_i), so the key is
     (K mod 4, pat, perm): 64 x 4 x 6 = 1,536 entries at most, filled as
-    folds reach them.  A raw core from _kak_locals has |K| <= 3, so
+    folds reach them.  A raw core of _read_class has |K| <= 3, so
     K mod 4 is 0 exactly when K is, and the products are the bits
     _chamber_locals gives for K itself.  Both are read-only.
     """
@@ -426,83 +441,54 @@ def _kak_locals(gate: GateMatrix):
 
     left . G(core) . right reproduces gate up to a global phase, which
     the caller reads off the overlap with the gate; left and right are
-    local with determinant 1, and core is the chamber point.  Steps:
-    strip the determinant phase; move to the magic frame, where the Gram
-    matrix m = Ub^T Ub is symmetric unitary and its real and imaginary
-    parts commute; diagonalize both parts in one real orthogonal frame;
-    read the eigenphases lam, giving the raw core, and the frame, giving
-    the right local; recover the left local by division; fold the raw
-    core into the chamber, compensating with the fold element's
-    single-qubit fix-ups, whose products come from the table
-    _fixup_products.  The fold's bookkeeping is checked within 1e-10:
-    (pat * (raw + K pi/2))[perm] must be the folded point.
-
-    Memoized on the gate (GateMatrix._kak), with read-only arrays:
-    synthesize, kak_decompose and witness_basis_for_gate share one
-    decomposition of a gate.
+    local with determinant 1, and core is the chamber point.  Built from
+    the gate's memoized reading, with no normalization, eigensolve or
+    fold of its own: in the magic frame Ub, the reading's frame (made
+    proper) is the right local, the left is recovered by division and
+    must be real within 1e-7, and the fold element's fix-ups, from the
+    table _fixup_products, carry the raw core to the chamber point.
     """
-    if gate._kak is not None:
-        return gate._kak
-    u = su4_normalize(gate).matrix
-
-    q = MAGIC_FRAME
-    ub = q.conj().T @ u @ q
-    m = ub.T @ ub
-    pairs, frame = eig_commuting_symmetric_pair(m.real, m.imag)
+    _, core, u, frame, lam, (K, pat, perm) = _read_class(gate)
     if np.linalg.det(frame) < 0:
         frame = frame.copy()
         frame[:, 0] = -frame[:, 0]
-
-    lam = -np.arctan2(pairs[:, 1], pairs[:, 0]) / 2.0
-    # det 1 forces sum(lam) to a multiple of pi; an odd multiple would put
-    # the frame product in the wrong SO(4) component, so shift one branch
-    if round(lam.sum() / np.pi) % 2 != 0:
-        lam[0] -= np.sign(lam.sum()) * np.pi
     d = np.exp(-1j * lam)
 
-    o2 = frame.T
+    q = MAGIC_FRAME
+    ub = q.conj().T @ u @ q
     o1 = (ub @ frame) * d.conj()[None, :]
     imag_leak = np.abs(o1.imag).max()
     if imag_leak > 1e-7:
         raise ConsistencyError(
             f"left factor is not real orthogonal (imaginary part {imag_leak:.3e})"
         )
-    o1 = o1.real
+    a_left = q @ o1.real @ q.conj().T
+    a_right = q @ frame.T @ q.conj().T
 
-    a_left = q @ o1 @ q.conj().T
-    a_right = q @ o2 @ q.conj().T
-
-    raw = _raw_core(lam).tolist()
-    cand, (K, pat, perm) = _reduce_with_ops(raw)
-    moved = [pat[i] * (raw[i] + K[i] * HALF) for i in perm]
-    if max(abs(x - y) for x, y in zip(moved, cand)) > 1e-10:
-        raise ConsistencyError("chamber fix-up bookkeeping mismatch")
     left, right = _fixup_products(tuple(k % 4 for k in K), pat, perm)
-    core = _snap_to_chamber(cand)
-    return _memoize(gate, "_kak", (a_left @ left, core, right @ a_right, lam))
+    return a_left @ left, core, right @ a_right, lam
 
 
-def _raw_core(lam) -> np.ndarray:
+def _raw_core(lam) -> list:
     """The unfolded core of the magic-frame eigenphases, whose diagonal
     slots carry (lam1, lam4, lam3, lam2)."""
-    return np.array(
-        [(lam[0] + lam[1]) / 2, (lam[3] + lam[1]) / 2, (lam[0] + lam[3]) / 2]
-    )
+    return [(lam[0] + lam[1]) / 2, (lam[3] + lam[1]) / 2, (lam[0] + lam[3]) / 2]
 
 
 def kak_decompose(g) -> KakFactors:
     """Full canonical decomposition of a two-qubit gate.
 
-    The decomposition itself is _kak_locals (see there).  This function
-    adds three self-checks and the split: the eigenphases must assemble
-    into canonical_gate of the raw core within 1e-9; both locals are
-    split into SU(2) tensor factors; and the factors must reassemble
-    into the input within 1e-6, with the global phase read off their
-    overlap.  synthesize calls _kak_locals directly and lets its own
-    dressed-circuit residual stand in for these checks; both share the
-    decomposition memoized on a GateMatrix.
+    The decomposition itself is _kak_locals (see there), built from the
+    gate's one reading, so core is extract_coordinates(g) bit for bit.
+    This function adds three self-checks and the split: the eigenphases
+    must assemble into canonical_gate of the raw core within 1e-9; both
+    locals are split into SU(2) tensor factors; and the factors must
+    reassemble into the input within 1e-6, with the global phase read
+    off their overlap.  synthesize calls _kak_locals directly and lets
+    its own dressed-circuit residual stand in for these checks; both
+    share the reading memoized on a GateMatrix.
     """
-    gate = as_gate(g)
+    gate = _gate("g", g)
     left, core, right, lam = _kak_locals(gate)
 
     q = MAGIC_FRAME

@@ -31,7 +31,7 @@ import numpy as np
 
 from .linalg import _UNITARITY_TOL, GateMatrix, kron2, rot_y, rot_z
 from .invariants import _CHAMBER_SLACK, is_perfect_entangler
-from .canonical import QUARTER, CanonicalCoords, _kak_locals, _read_class
+from .canonical import QUARTER, CanonicalCoords, _read_class, extract_coordinates
 from .entangle import entangling_power_closed, entangling_power_mc
 from .spe import is_spe
 from .synth import (
@@ -116,7 +116,7 @@ def _parse_coords(text: str) -> CanonicalCoords:
 def _class_fields(g):
     """(chamber point, the coords, g1, g2 and entangling_power fields) of
     the class of g, for an analyze report or a table row."""
-    inv, coords = _read_class(g)
+    inv, coords = _read_class(g)[:2]
     return coords, {
         "coords": [float(v) + 0.0 for v in coords],
         "g1": [inv.g1.real + 0.0, inv.g1.imag + 0.0],
@@ -186,13 +186,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
+    """Synthesize a gate or --coords target; a gate's echoed target is
+    extract_coordinates, the one point analyze prints and synthesis uses."""
     if (args.gate is None) == (args.coords is None):
         raise _CliError(2, "give exactly one target: a gate file/name or --coords")
     if args.gate is not None:
         _, target = _load_gate(args.gate, args.tolerance)
-        # the point synthesis decides on: its decomposition core, memoized
-        # on the gate, so synthesize reuses it and the gate is read once
-        chamber = _kak_locals(target)[1]
+        chamber = extract_coordinates(target)
     else:
         target = chamber = _parse_coords(args.coords)
 

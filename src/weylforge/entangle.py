@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ConsistencyError, _array, _integer, as_gate
+from .linalg import ConsistencyError, _array, _gate, _integer
 from .canonical import _read_class, _target
 
 __all__ = [
@@ -104,7 +104,11 @@ def _state(s) -> np.ndarray:
 
 def concurrence_pure(s) -> float:
     """Concurrence 2|ad - bc| of a normalized pure state (a,b,c,d)."""
-    v = _state(s)
+    return _concurrence(_state(s))
+
+
+def _concurrence(v) -> float:
+    """concurrence_pure of a state already read."""
     return float(2.0 * abs(v[0] * v[3] - v[1] * v[2]))
 
 
@@ -132,8 +136,8 @@ def classify_state(s) -> str:
     cross-checked against the concurrence, which they must reproduce.
     """
     v = _state(s)
-    conc = concurrence_pure(v)
-    w = magic_coefficients(v) ** 2
+    conc = _concurrence(v)
+    w = (MAGIC_STATES.conj().T @ v) ** 2
     if abs(w.sum()) <= 1e-9:
         if conc > 1e-9:
             raise ConsistencyError(
@@ -355,7 +359,7 @@ def entangling_power_mc(g, n: int, seed: int) -> EpEstimate:
     bitwise independent of how batches are grouped into workers.
     """
     n, seed = _sample_run(n, seed)
-    gate = as_gate(g).matrix
+    gate = _gate("g", g).matrix
 
     def moments(entropy):
         # entropy = 0.5 * conc**2, then its square, in the batch's buffer

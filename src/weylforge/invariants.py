@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_gate
+from .linalg import _gate
 
 __all__ = [
     "MAGIC_FRAME",
@@ -53,7 +53,7 @@ class LocalInvariants(NamedTuple):
 
 def m_matrix(g) -> np.ndarray:
     """The magic-frame Gram matrix m = (Q+ U Q)^T (Q+ U Q)."""
-    u = as_gate(g).matrix
+    u = _gate("g", g).matrix
     ub = MAGIC_FRAME.conj().T @ u @ MAGIC_FRAME
     return ub.T @ ub
 

@@ -5,12 +5,12 @@ single-qubit operators and 4x4 blocks for two-qubit gates (row-major,
 basis order |00>, |01>, |10>, |11>, qubit 0 = first tensor factor).
 This module holds the shared kernel: the ``GateMatrix`` wrapper, which
 checks a raw array once where it enters and stores the nearest unitary,
-so every later step trusts it, and which memoizes the two readings of
-its class that the other modules take; Kronecker composition, SU(4)
-normalization, the simultaneous diagonalizer for a commuting pair of
-real symmetric matrices, the Kronecker-factor splitter, and the
+so every later step trusts it, and which memoizes the one spectral
+reading of its class that the other modules take; Kronecker composition,
+SU(4) normalization, the simultaneous diagonalizer for a commuting pair
+of real symmetric matrices, the Kronecker-factor splitter, and the
 package's only argument readers: ``_real`` and ``_integer`` for scalars,
-``_array`` for arrays.
+``_array`` for arrays, ``_gate`` for gates.
 """
 
 import math
@@ -32,7 +32,6 @@ __all__ = [
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
-    "PAULIS",
 ]
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -117,33 +116,23 @@ class GateMatrix:
     ``unitarity_residual`` is the input's residual before projection;
     gates built in closed form carry their source's, or 0.0.
 
-    Two private slots memoize what the package reads off the gate, each
-    filled on first use: ``_reading``, the class reading of
-    ``canonical._read_class`` (invariants and chamber point, one Gram
-    matrix), and ``_kak``, the decomposition of ``canonical._kak_locals``
-    (left, core, right, lam; one joint eigensolve).  Classifying a gate
-    and synthesizing it, or decomposing it, then share that work.  The
-    memo cannot go stale: the gate is immutable and its matrix is
-    read-only, and the cached arrays are read-only too.  Two threads
-    that race to fill a slot compute the same value, so no lock is
-    needed.
+    One private slot, ``_reading``, memoizes on first use the gate's one
+    spectral reading, ``canonical._read_class``: its class, and what
+    ``canonical._kak_locals`` builds the decomposition from.  Classifying,
+    synthesizing and decomposing a gate then share one normalization and
+    one eigensolve.  The memo cannot go stale: the gate is immutable and
+    its matrix is read-only, and the cached arrays are read-only too.
+    Two threads that race to fill the slot compute the same value, so no
+    lock is needed.
     """
 
-    __slots__ = ("matrix", "unitarity_residual", "_reading", "_kak")
+    __slots__ = ("matrix", "unitarity_residual", "_reading")
     # np.shape reads this rather than converting the gate to an array
     shape = (4, 4)
 
     def __init__(self, matrix, unitarity: float = _UNITARITY_TOL):
         unitarity = _real("unitarity tolerance", unitarity, 0.0, want="a finite number >= 0")
-        m = _array("matrix", matrix, (4, 4))
-        residual = float(np.abs(m.conj().T @ m - np.eye(4)).max())
-        if residual > unitarity:
-            raise ValueError(
-                f"matrix is not unitary: residual {residual:.3e} exceeds "
-                f"tolerance {unitarity:.1e}"
-            )
-        w, _, vh = np.linalg.svd(m)
-        _set_slots(self, w @ vh, residual)
+        _set_slots(self, *_unitary("matrix", matrix, unitarity))
 
     def __setattr__(self, name, value):
         raise AttributeError("GateMatrix is immutable")
@@ -155,21 +144,33 @@ class GateMatrix:
         return f"GateMatrix(residual={self.unitarity_residual:.2e})\n{self.matrix}"
 
 
+def _unitary(name: str, value, unitarity: float) -> tuple:
+    """(nearest unitary, residual) of a raw 4x4 array; else ValueError naming name."""
+    m = _array(name, value, (4, 4))
+    residual = float(np.abs(m.conj().T @ m - np.eye(4)).max())
+    if residual > unitarity:
+        raise ValueError(
+            f"{name} is not unitary: residual {residual:.3e} exceeds "
+            f"tolerance {unitarity:.1e}"
+        )
+    w, _, vh = np.linalg.svd(m)
+    return w @ vh, residual
+
+
 def _set_slots(gate: GateMatrix, m: np.ndarray, residual: float) -> GateMatrix:
     m.setflags(write=False)
     object.__setattr__(gate, "matrix", m)
     object.__setattr__(gate, "unitarity_residual", residual)
     object.__setattr__(gate, "_reading", None)
-    object.__setattr__(gate, "_kak", None)
     return gate
 
 
-def _memoize(gate: GateMatrix, slot: str, value: tuple) -> tuple:
-    """Fill one of gate's memo slots with value, its arrays made read-only."""
+def _memoize(gate: GateMatrix, value: tuple) -> tuple:
+    """Fill gate's memo slot with value, its arrays made read-only."""
     for part in value:
         if isinstance(part, np.ndarray):
             part.setflags(write=False)
-    object.__setattr__(gate, slot, value)
+    object.__setattr__(gate, "_reading", value)
     return value
 
 
@@ -178,12 +179,17 @@ def _trusted_gate(m: np.ndarray, residual: float) -> GateMatrix:
     return _set_slots(object.__new__(GateMatrix), m, residual)
 
 
+def _gate(name: str, value) -> GateMatrix:
+    """The one gate reader: as_gate(value), with its errors naming name."""
+    if isinstance(value, GateMatrix):
+        return value
+    return _trusted_gate(*_unitary(name, value, _UNITARITY_TOL))
+
+
 def as_gate(g) -> GateMatrix:
     """A GateMatrix as it is, trusted at the tolerance it was made with;
-    any 4x4 array-like checked at the default, GateMatrix(g)."""
-    if isinstance(g, GateMatrix):
-        return g
-    return GateMatrix(g)
+    any 4x4 array-like checked at the default, as GateMatrix checks it."""
+    return _gate("g", g)
 
 
 def kron2(a, b) -> np.ndarray:
@@ -223,7 +229,7 @@ def su4_normalize(g) -> GateMatrix:
     its input's residual and is not checked again.  Idempotent up to
     floating-point noise.
     """
-    gate = as_gate(g)
+    gate = _gate("g", g)
     factor = (1.0 / np.linalg.det(gate.matrix)) ** 0.25
     return _trusted_gate(factor * gate.matrix, gate.unitarity_residual)
 
@@ -232,6 +238,7 @@ def su4_normalize(g) -> GateMatrix:
 _MIX_WEIGHTS = tuple(float(np.tan(m * np.pi / 7)) for m in (1, 2, 3, 0))
 # a weight that separates every eigenpair leaves rounding, far below this
 _DIAGONALITY_TOL = 1e-9
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 # symmetry and Kronecker residuals: rounding on the package's unitary inputs
 _RESIDUAL_TOL = 1e-8
 
@@ -239,18 +246,31 @@ _RESIDUAL_TOL = 1e-8
 def eig_commuting_symmetric_pair(x, y):
     """Simultaneously diagonalize two commuting real symmetric 4x4 matrices.
 
-    Parameters
-    ----------
-    x, y : (4, 4) finite real, symmetric, ||XY - YX||_max <= 1e-8; else ValueError.
+    x and y must be finite, real and symmetric, with ||XY - YX||_max <=
+    1e-8, else ValueError.  Returns (pairs, frame): a real orthogonal
+    frame O with O.T @ X @ O and O.T @ Y @ O diagonal within 1e-9, and
+    row k of pairs their k-th diagonal values (x_k, y_k).  These input
+    checks, then _joint_diagonalize(X + iY), which canonical calls directly.
+    """
+    X = _array("x", x, (4, 4), float)
+    Y = _array("y", y, (4, 4), float)
+    sym = max(np.abs(X - X.T).max(), np.abs(Y - Y.T).max())
+    if sym > _RESIDUAL_TOL:
+        raise ValueError(f"inputs are not symmetric (residual {sym:.3e})")
+    comm = np.abs(X @ Y - Y @ X).max()
+    if comm > 1e-8:
+        raise ValueError(
+            f"matrices do not commute: ||XY - YX||_max = {comm:.3e} exceeds 1e-8"
+        )
+    frame, diagonal = _joint_diagonalize(X + 1j * Y)
+    return np.column_stack([diagonal.real, diagonal.imag]), frame
 
-    Returns
-    -------
-    pairs : (4, 2) ndarray
-        Row k holds (x_k, y_k), the k-th diagonal values of the two
-        transformed matrices.
-    frame : (4, 4) ndarray
-        Real orthogonal O with O.T @ X @ O and O.T @ Y @ O diagonal
-        within 1e-9.
+
+def _joint_diagonalize(m):
+    """(O, diagonal of O.T @ m @ O): a real orthogonal O that makes the
+    complex symmetric 4x4 m, whose real and imaginary parts X and Y
+    commute, diagonal within 1e-9, else ConsistencyError.  m itself is
+    not checked; the residual certifies the frame.
 
     Notes
     -----
@@ -265,24 +285,14 @@ def eig_commuting_symmetric_pair(x, y):
     {+-1}, {+-2}, {+-3}; one class is left, and the weights m = 1, 2, 3, 0
     keep all six differences at least pi/14 away at one of them.
     """
-    X = _array("x", x, (4, 4), float)
-    Y = _array("y", y, (4, 4), float)
-    sym = max(np.abs(X - X.T).max(), np.abs(Y - Y.T).max())
-    if sym > _RESIDUAL_TOL:
-        raise ValueError(f"inputs are not symmetric (residual {sym:.3e})")
-    comm = np.abs(X @ Y - Y @ X).max()
-    if comm > 1e-8:
-        raise ValueError(
-            f"matrices do not commute: ||XY - YX||_max = {comm:.3e} exceeds 1e-8"
-        )
-
+    x, y = m.real, m.imag
     offs = []
     for r in _MIX_WEIGHTS:
-        _, frame = np.linalg.eigh(X + r * Y)
-        d = frame.T @ np.stack([X, Y]) @ frame
-        offs.append(np.abs(d * (1 - np.eye(4))).max())
+        _, frame = np.linalg.eigh(x + r * y)
+        d = frame.T @ m @ frame
+        offs.append(np.abs(d[_OFF_DIAGONAL]).max())
         if offs[-1] <= _DIAGONALITY_TOL:
-            return np.column_stack([d[0].diagonal(), d[1].diagonal()]), frame
+            return frame, d.diagonal()
     raise ConsistencyError(
         f"joint diagonalization failed: off-diagonal residual {min(offs):.3e} "
         f"at best over the weights {_MIX_WEIGHTS}"

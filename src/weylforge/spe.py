@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import GateMatrix, _array, _real, as_gate, kron2
+from .linalg import GateMatrix, _array, _gate, _real, kron2
 from .canonical import (
     QUARTER,
     CanonicalCoords,
@@ -31,7 +31,7 @@ from .canonical import (
     canonical_gate,
     kak_decompose,
 )
-from .entangle import _per_batch, _sample_run
+from .entangle import _concurrence, _per_batch, _sample_run
 from .invariants import _CHAMBER_SLACK
 
 __all__ = [
@@ -171,9 +171,9 @@ def check_basis_images(g, basis) -> np.ndarray:
     residual = np.abs(gram - np.eye(4)).max()
     if residual > 1e-9:
         raise ValueError(f"basis is not orthonormal (Gram residual {residual:.3e})")
-    images = states @ as_gate(g).matrix.T
-    # concurrence_pure's arithmetic; the Gram test stands for its 1e-12 norm test
-    return np.array([2.0 * abs(v[0] * v[3] - v[1] * v[2]) for v in images])
+    images = states @ _gate("g", g).matrix.T
+    # the Gram test stands for concurrence_pure's 1e-12 norm test
+    return np.array([_concurrence(v) for v in images])
 
 
 def separability_preservation_probe(g, n: int, seed: int) -> float:
@@ -186,6 +186,6 @@ def separability_preservation_probe(g, n: int, seed: int) -> float:
     fraction collapses.
     """
     n, seed = _sample_run(n, seed)
-    gate = as_gate(g).matrix
+    gate = _gate("g", g).matrix
     kept = _per_batch(gate, n, seed, lambda conc: int(np.count_nonzero(conc <= 1e-7)))
     return sum(kept) / n

@@ -18,6 +18,10 @@ A second table calls each array parameter with None, a string, object
 entries, ragged rows, numeric strings, a wrong shape, NaN and inf, and a
 real one with complex entries too; a second guard walks the public API
 for array parameters.
+
+A gate is read once, by linalg._gate, which reads a raw array as
+GateMatrix does but names the caller's parameter, g or target; a third
+table and guard cover every public function that takes a gate.
 """
 
 import inspect
@@ -123,13 +127,14 @@ BAD = {
 }
 
 
-def _call(name, param, value):
+def _call(name, param, value, **given):
     fn = getattr(wf, name)
     kwargs = {
         p: VALID[p]
         for p, spec in inspect.signature(fn).parameters.items()
         if spec.default is inspect.Parameter.empty or p in VALID
     }
+    kwargs.update(given)
     kwargs[param] = value
     return fn(**kwargs)
 
@@ -154,6 +159,17 @@ def _scalar_takers() -> set:
 
 def test_the_scalar_takers_are_the_table():
     assert _scalar_takers() == set(TABLE)
+
+
+def test_the_package_exports_the_module_lists():
+    modules = (wf.linalg, wf.invariants, wf.canonical, wf.entangle, wf.spe, wf.synth, wf.gates)
+    names = [name for m in modules for name in m.__all__]
+    assert len(set(names)) == len(names)
+    assert sorted(wf.__all__) == sorted(names + ["__version__"])
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(wf, name) is getattr(m, name), name
+    assert isinstance(wf.__version__, str)
 
 
 def test_the_exempt_names_are_public_and_the_kernels_take_an_angle():
@@ -331,6 +347,80 @@ def test_each_array_rejects_a_malformed_value_naming_it(name, param, value):
     # the warnings filter turns a numpy warning into a failure too
     with pytest.raises(ValueError, match=f"^{param} (must be|contains non-finite entries)"):
         _call(name, param, value)
+
+
+# gates
+
+# (callable, gate parameter): every public function that reads a gate.  A
+# target also takes a coordinate triple, so only its 4x4 forms are read
+# as a gate; the others are a shape error (canonical._target).
+GATE_TABLE = {
+    ("as_gate", "g"),
+    ("su4_normalize", "g"),
+    ("m_matrix", "g"),
+    ("local_invariants", "g"),
+    ("extract_coordinates", "g"),
+    ("kak_decompose", "g"),
+    ("entangling_power_mc", "g"),
+    ("witness_basis_for_gate", "g"),
+    ("check_basis_images", "g"),
+    ("separability_preservation_probe", "g"),
+    ("is_perfect_entangler", "target"),
+    ("entangling_power_closed", "target"),
+    ("is_spe", "target"),
+    ("spe_params", "target"),
+    ("synthesize", "target"),
+    ("verify_equivalence", "target"),
+    ("feasible_phi_intervals", "target"),
+    ("feasible_phi_profile", "target"),
+    ("infeasibility_reasons", "target"),
+}
+
+
+def test_the_gate_takers_are_the_table():
+    found = {(name, p) for name, params in _public_signatures() for p in params & {"g", "target"}}
+    assert found == GATE_TABLE
+
+
+def _bad_gates(param):
+    """form -> a malformed gate; a target gets the 4x4 forms only."""
+    nan, inf = np.eye(4, dtype=complex), np.eye(4, dtype=complex)
+    nan[0, 0], inf[3, 3] = math.nan, math.inf
+    bad = {
+        "objects": _nested((4, 4), object()),
+        "letters": [["a"] * 4] * 4,
+        "numeric strings": _nested((4, 4), "1"),
+        "nan": nan,
+        "inf": inf,
+        "not unitary": 2 * np.eye(4),
+    }
+    if param == "g":
+        bad.update({"None": None, "'x'": "x", "1x1": [[1]], "2x2": np.eye(2)})
+        bad["ragged"] = [[0] * 4] * 3 + [[0] * 3]
+    return bad
+
+
+def _malformed_gates():
+    for name, param in sorted(GATE_TABLE):
+        for form, value in _bad_gates(param).items():
+            yield pytest.param(name, param, value, id=f"{name}-{param}-{form}")
+
+
+@pytest.mark.parametrize("name,param,value", _malformed_gates())
+def test_each_gate_rejects_a_malformed_value_naming_it(name, param, value):
+    # the caller's parameter, not GateMatrix's matrix
+    kwargs = {"c": wf.Circuit(())} if name == "verify_equivalence" else {}
+    with pytest.raises(
+        ValueError, match=f"^{param} (must be|contains non-finite entries|is not unitary)"
+    ):
+        _call(name, param, value, **kwargs)
+
+
+def test_a_gate_matrix_keeps_the_name_matrix():
+    with pytest.raises(ValueError, match="^matrix must be 4x4"):
+        wf.GateMatrix(np.eye(2))
+    with pytest.raises(ValueError, match="^matrix is not unitary"):
+        wf.GateMatrix(2 * np.eye(4))
 
 
 @pytest.mark.parametrize("layers", [5, None])

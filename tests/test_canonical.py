@@ -13,6 +13,7 @@ from weylforge import (
     coords_equivalent,
     extract_coordinates,
     in_weyl_chamber,
+    is_perfect_entangler,
     kak_decompose,
     kron2,
     reduce_to_weyl,
@@ -22,7 +23,7 @@ from weylforge.invariants import MAGIC_FRAME, invariants_from_coords
 from weylforge.linalg import PAULIS
 from weylforge.gates import NAMED_GATES
 
-from conftest import chamber_point, dressed, haar_su2, mirror_face_targets
+from conftest import boundary_classes, chamber_point, dressed, haar_su2, mirror_face_targets
 
 QUARTER = np.pi / 4
 HALF = np.pi / 2
@@ -315,13 +316,13 @@ def test_kak_on_the_mirror_face():
 
 def test_extract_folds_once(monkeypatch):
     calls = []
-    fold = canonical.reduce_to_weyl
+    fold = canonical._reduce_with_ops
 
     def counting(c):
         calls.append(c)
         return fold(c)
 
-    monkeypatch.setattr(canonical, "reduce_to_weyl", counting)
+    monkeypatch.setattr(canonical, "_reduce_with_ops", counting)
     rng = np.random.default_rng(65)
     for c in [chamber_point(rng) for _ in range(5)] + mirror_face_targets(count=5):
         calls.clear()
@@ -458,6 +459,52 @@ def test_kak_reassembles_the_named_gates(name):
         assert np.abs(np.subtract(f.core, KNOWN_COORDS[name])).max() < 1e-12
 
 
+# ------------------------------------------------------ one reading per gate
+
+# offsets from a face around the chamber slack, 1e-12, where a point
+# read twice by two solvers could land on either side of a decision
+_SLACK_OFFSETS = (0.0, 5e-13, -5e-13, 1e-12, -1e-12, 2e-12, -2e-12)
+
+
+def _spe_edge(rng):
+    """A class within 2e-12 of the SPE segment (pi/4, phi, 0)."""
+    d, e = rng.choice(_SLACK_OFFSETS, 2)
+    return (QUARTER - abs(d), rng.uniform(0.0, QUARTER - 2e-12), e)
+
+
+def _pe_edge(rng, plane):
+    """A class within 2e-12 of the PE plane c1 + c2 = pi/4 (plane 1) or
+    c2 + |c3| = pi/4 (plane 2), at least 0.05 from the other one."""
+    d = rng.choice(_SLACK_OFFSETS)
+    if plane == 1:
+        c1 = rng.uniform(QUARTER / 2 + 0.05, QUARTER - 0.05)
+        c2 = QUARTER - c1 + d
+        return (c1, c2, rng.uniform(-c2, c2) / 2)
+    c2 = rng.uniform(QUARTER / 2 + 0.05, QUARTER - 0.05)
+    return (rng.uniform(c2, QUARTER), c2, rng.choice([-1.0, 1.0]) * (QUARTER - c2 + d))
+
+
+def test_coordinates_are_the_decomposition_core_bit_for_bit():
+    rng = np.random.default_rng(123)
+    classes = boundary_classes(rng, 20)
+    classes += [_spe_edge(rng) for _ in range(100)]
+    classes += [_pe_edge(rng, plane) for plane in (1, 2) for _ in range(100)]
+    for c in classes:
+        u = dressed(c, rng)
+        got = [v.hex() for v in extract_coordinates(GateMatrix(u))]
+        # a gate of its own, so neither answer comes from the other's memo
+        assert [v.hex() for v in kak_decompose(GateMatrix(u)).core] == got, c
+
+
+@pytest.mark.parametrize("plane", [1, 2])
+def test_the_pe_flag_of_a_gate_is_that_of_its_decomposition_core(plane):
+    rng = np.random.default_rng([124, plane])
+    for _ in range(300):
+        u = dressed(_pe_edge(rng, plane), rng)
+        core = kak_decompose(GateMatrix(u)).core
+        assert is_perfect_entangler(GateMatrix(u)) == is_perfect_entangler(core), core
+
+
 # ------------------------------------------------------ memo and fix-up table
 
 
@@ -465,15 +512,16 @@ def test_cached_arrays_reject_writes():
     rng = np.random.default_rng(120)
     g = GateMatrix(dressed(chamber_point(rng), rng))
     left, core, right, lam = canonical._kak_locals(g)
-    assert canonical._kak_locals(g)[0] is left
-    for arr in (left, right, lam, *canonical._fixup_products((1, 0, 3), (1, -1, -1), (2, 0, 1))):
+    assert canonical._kak_locals(g)[3] is lam
+    reading = canonical._read_class(g)
+    _, coords, unitary, frame, _, _ = reading
+    for arr in (lam, unitary, frame, *canonical._fixup_products((1, 0, 3), (1, -1, -1), (2, 0, 1))):
         with pytest.raises(ValueError):
             arr[0] = 0
-    # the class reading holds tuples only, and the gate takes no new slot values
-    inv, coords = canonical._read_class(g)
-    assert canonical._read_class(g)[1] is coords
+    # the reading is memoized, and the gate takes no new slot values
+    assert canonical._read_class(g) is reading and coords is core
     with pytest.raises(AttributeError):
-        g._kak = None
+        g._reading = None
 
 
 def test_fixup_table_is_the_product_of_the_chamber_locals():

@@ -523,20 +523,34 @@ def test_failure_lines_never_round_a_violation_onto_its_bound(capsys, phi):
     assert not re.search(r"cos 2b = -?1 outside", err), err
 
 
+def test_analyze_and_synthesize_echo_one_point_for_a_gate_file(tmp_path, capsys):
+    # on the slack edge of the SPE segment the last bits of c3 decide it
+    from conftest import dressed
+
+    for seed in range(8):
+        u = dressed((np.pi / 4, 0.3, 1e-12), np.random.default_rng(seed))
+        path = tmp_path / f"edge{seed}.json"
+        path.write_text(json.dumps({"name": "edge", "matrix": _mat_to_lists(u)}))
+        _, report, _ = run(capsys, "analyze", str(path), "--json")
+        _, synth, _ = run(capsys, "synthesize", str(path), "--phi", "auto", "--json")
+        assert json.loads(report)["coords"] == json.loads(synth)["target"], seed
+
+
 def test_synthesize_reads_a_gate_target_once(capsys, monkeypatch):
     # the echoed target is the chamber point synthesis decided on, the
-    # memoized decomposition core: no class reading, and the diagonalizer
-    # runs for the target and the core product only
+    # gate's one memoized reading: the echo and the decomposition read it
+    # once each, the core product once, and the diagonalizer runs for the
+    # target and the core product only
     from test_synth import _count_calls
 
     counts = _count_calls(
-        monkeypatch, ("canonical._read_class", "linalg.eig_commuting_symmetric_pair")
+        monkeypatch, ("canonical._read_class", "linalg._joint_diagonalize")
     )
     code, out, _ = run(capsys, "synthesize", "cnot", "--phi", "auto", "--json")
     assert code == 0
     assert counts == {
-        "canonical._read_class": 0,
-        "linalg.eig_commuting_symmetric_pair": 2,
+        "canonical._read_class": 3,
+        "linalg._joint_diagonalize": 2,
     }
     core = kak_decompose(weylforge.GateMatrix(NAMED_GATES["cnot"])).core
     assert json.loads(out)["target"] == [float(v) for v in core]

@@ -101,6 +101,43 @@ def test_classify_state_labels():
     assert classify_state(tilted) == "intermediate"
 
 
+def _classify_reference(s):
+    """classify_state as the public measures compose it, each reading s."""
+    conc = concurrence_pure(s)
+    w = magic_coefficients(s) ** 2
+    if abs(w.sum()) <= 1e-9:
+        return "separable" if conc <= 1e-9 else None
+    ref = w[np.argmax(np.abs(w))]
+    ref = ref / abs(ref)
+    live = np.abs(w) > 1e-12
+    if np.abs(np.angle(w[live] * ref.conjugate())).max() <= 1e-9:
+        return "maximal" if conc >= 1.0 - 1e-9 else None
+    return "intermediate"
+
+
+def test_classify_state_reads_its_state_once(monkeypatch):
+    calls = []
+    read = entangle._array
+
+    def counting(name, *args, **kwargs):
+        calls.append(name)
+        return read(name, *args, **kwargs)
+
+    monkeypatch.setattr(entangle, "_array", counting)
+    rng = np.random.default_rng(97)
+    bell = [MAGIC_STATES[:, k] for k in range(4)]
+    product = [np.eye(4)[k] for k in range(4)]
+    product += [np.kron(haar_state(rng), haar_state(rng)) for _ in range(20)]
+    haar = [haar_state(rng, dim=4) for _ in range(2000)]
+    for states, labels in ((bell, {"maximal"}), (product, {"separable"}), (haar, None)):
+        for s in states:
+            calls.clear()
+            got = classify_state(s)
+            assert calls == ["s"]
+            assert got == _classify_reference(s)
+            assert labels is None or got in labels
+
+
 def test_entangling_power_closed_named_classes():
     cases = {
         "identity": 0.0,

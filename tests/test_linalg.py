@@ -1,3 +1,4 @@
+import ast
 import inspect
 import pathlib
 import re
@@ -111,6 +112,38 @@ def test_no_numpy_kron_in_the_package():
         if "np.kron(" in line
     ]
     assert hits == []
+
+
+def _callers(name) -> list:
+    """(module, function) around each call of name in the package."""
+    src = pathlib.Path(weylforge.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                found += [
+                    (path.stem, fn.name)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                ]
+    return sorted(found)
+
+
+def test_one_spectral_solver_in_the_package():
+    # a gate's spectrum is solved in canonical's one reading; the public
+    # pair diagonalizer is its input checks plus the same code
+    src = pathlib.Path(weylforge.__file__).parent
+    text = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert [n for n, t in text.items() if "np.linalg.eigvals" in t or "np.linalg.eig(" in t] == []
+    assert _callers("eigvals") == _callers("eig") == _callers("eigvalsh") == []
+    assert _callers("eigh") == [("linalg", "_joint_diagonalize")]
+    assert _callers("_joint_diagonalize") == [
+        ("canonical", "_read_class"),
+        ("linalg", "eig_commuting_symmetric_pair"),
+    ]
+    assert _callers("eig_commuting_symmetric_pair") == []
+    assert "_kak_locals" not in text["cli.py"]
 
 
 # parameter names that would make a tolerance or slack settable

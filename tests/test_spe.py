@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from weylforge import (
+    GateMatrix,
     SpeParams,
     canonical_gate,
     check_basis_images,
@@ -142,6 +143,24 @@ def test_witness_transport_to_dressed_gate():
         for row in basis:
             assert concurrence_pure(row) < 1e-9
         assert check_basis_images(g, basis).min() > 1 - 1e-9
+
+
+def test_is_spe_exactly_when_the_witness_basis_exists():
+    # c3 = 1e-12 sits on the slack edge of the segment, where the answer
+    # rests on the last bits of the one chamber point both functions read
+    spe = 0
+    for seed in range(400):
+        u = dressed((QUARTER, 0.3, 1e-12), np.random.default_rng(seed))
+        try:
+            witness_basis_for_gate(GateMatrix(u), 0.4)
+            built = True
+        except ValueError as exc:
+            assert "not a special perfect entangler" in str(exc)
+            built = False
+        assert is_spe(GateMatrix(u)) == built, seed
+        spe += built
+    # both answers occur
+    assert 0 < spe < 400
 
 
 def test_witness_transport_stays_maximal_along_the_segment():

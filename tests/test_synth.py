@@ -331,7 +331,7 @@ def _count_calls(monkeypatch, names):
 
 
 _SYNTHESIS_TRAFFIC = (
-    "linalg.eig_commuting_symmetric_pair",
+    "linalg._joint_diagonalize",
     "linalg.split_local",
     "canonical._read_class",
     "canonical.kak_decompose",
@@ -340,16 +340,16 @@ _SYNTHESIS_TRAFFIC = (
 
 
 def test_matrix_synthesis_decomposes_each_matrix_once(monkeypatch):
-    # one decomposition of the target, one of the core product, one split
-    # per outer layer, no Gram read for a class test, and C[phi] built once
+    # one reading of the target, one of the core product, each the basis
+    # of its decomposition, one split per outer layer, and C[phi] built once
     rng = np.random.default_rng(105)
     g = GateMatrix(dressed(chamber_point(rng), rng))
     counts = _count_calls(monkeypatch, _SYNTHESIS_TRAFFIC)
     synthesize(g, EIGHTH)
     assert counts == {
-        "linalg.eig_commuting_symmetric_pair": 2,
+        "linalg._joint_diagonalize": 2,
         "linalg.split_local": 2,
-        "canonical._read_class": 0,
+        "canonical._read_class": 2,
         "canonical.kak_decompose": 0,
         "spe.spe_gate": 1,
     }
@@ -361,7 +361,7 @@ def test_coordinate_synthesis_keeps_the_class_test(monkeypatch):
     counts = _count_calls(monkeypatch, _SYNTHESIS_TRAFFIC)
     synthesize((0.6, 0.45, 0.25), EIGHTH)
     assert counts == {
-        "linalg.eig_commuting_symmetric_pair": 0,
+        "linalg._joint_diagonalize": 1,
         "linalg.split_local": 0,
         "canonical._read_class": 1,
         "canonical.kak_decompose": 0,
@@ -799,24 +799,35 @@ _READINGS = ("coords", "invariants", "pe", "circuit", "kak")
 
 
 def test_one_gate_is_read_once_whatever_the_order(monkeypatch):
-    # classification, synthesis and decomposition of one gate share one
-    # class reading (one Gram matrix) and one decomposition: the target's
-    # eigensolve plus the core product's make 2 diagonalizer calls
+    # classification, synthesis and decomposition of one gate share its
+    # one reading: the target's Gram matrix and eigensolve plus the core
+    # product's make 2 m_matrix and 2 diagonalizer calls
     rng = np.random.default_rng(121)
     u = dressed(chamber_point(rng), rng)
     # each reading on a gate of its own: nothing shared
     want = {name: _gate_outputs(GateMatrix(u), [name])[name] for name in _READINGS}
     counts = _count_calls(
-        monkeypatch, ("invariants.m_matrix", "linalg.eig_commuting_symmetric_pair")
+        monkeypatch, ("invariants.m_matrix", "linalg._joint_diagonalize")
     )
     for order in itertools.permutations(_READINGS):
         counts.update(dict.fromkeys(counts, 0))
         got = _gate_outputs(GateMatrix(u), order)
         assert counts == {
-            "invariants.m_matrix": 1,
-            "linalg.eig_commuting_symmetric_pair": 2,
+            "invariants.m_matrix": 2,
+            "linalg._joint_diagonalize": 2,
         }, order
         assert got == want, order
+
+
+def test_one_gate_is_normalized_once_whatever_the_order(monkeypatch):
+    # the one reading normalizes the gate, and synthesis its core product
+    rng = np.random.default_rng(125)
+    u = dressed(chamber_point(rng), rng)
+    counts = _count_calls(monkeypatch, ("linalg.su4_normalize",))
+    for order in itertools.permutations(_READINGS):
+        counts.update(dict.fromkeys(counts, 0))
+        _gate_outputs(GateMatrix(u), order)
+        assert counts == {"linalg.su4_normalize": 2}, order
 
 
 def test_threads_reading_one_gate_agree():
