@@ -16,7 +16,9 @@ settle the sign of c3 on the c1 = pi/4 face.
 
 This module builds the core gate, reduces arbitrary triples to the
 chamber, reads a matrix's class once, and builds the full decomposition
-from that one reading.
+from that one reading: a fold element only moves the magic-frame
+eigenphases of G(c) among their slots (Kraus and Cirac, PRA 63, 062309
+(2001)), so its locals are a column order of the reading's eigenvectors.
 """
 
 import functools
@@ -27,7 +29,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
-    PAULIS,
     ConsistencyError,
     GateMatrix,
     _gate,
@@ -36,9 +37,6 @@ from .linalg import (
     _real,
     _trusted_gate,
     kron2,
-    rot_x,
-    rot_y,
-    rot_z,
     split_local,
     su4_normalize,
 )
@@ -46,8 +44,8 @@ from .invariants import (
     _CHAMBER_SLACK,
     MAGIC_FRAME,
     _gram_invariants,
+    _magic,
     invariants_from_coords,
-    m_matrix,
 )
 
 __all__ = [
@@ -89,7 +87,8 @@ class KakFactors:
     """Result of kak_decompose.
 
     (a1 (x) b1) . canonical_gate(core) . (a2 (x) b2) . e^{i global_phase}
-    reproduces the input within 1e-8; all four locals have determinant 1.
+    reproduces the input within 1e-6, as kak_decompose checks; all four
+    locals have determinant 1.
     """
 
     a1: np.ndarray
@@ -170,20 +169,33 @@ def canonical_gate(c) -> GateMatrix:
     return _trusted_gate(m, 0.0)
 
 
+# Row j: the signs of (c1, c2, c3) in the eigenphase of G(c) in magic-frame
+# slot j.  They are the four sign vectors of product -1, so the phases
+# sum to zero, and the two rows with +1 in column t sum to 2 e_t.
+_SLOT_SIGNS = ((1, -1, 1), (1, 1, -1), (-1, -1, -1), (-1, 1, 1))
+_CORE_SLOTS = [[j for j, row in enumerate(_SLOT_SIGNS) if row[t] > 0] for t in range(3)]
+
+
+def _slot_phases(c) -> list:
+    """The eigenphases of G(c) in slot order, summed left to right."""
+    c1, c2, c3 = c
+    return [s1 * c1 + s2 * c2 + s3 * c3 for s1, s2, s3 in _SLOT_SIGNS]
+
+
+def _raw_core(lam) -> list:
+    """The inverse of _slot_phases, up to a shift common to all four."""
+    return [(lam[a] + lam[b]) / 2 for a, b in _CORE_SLOTS]
+
+
 def spectral_phases(c) -> SpectralPhases:
     """Eigenphases of the canonical gate at c.
 
     In the magic frame G(c) is diagonal with entries e^{-i lam_k}; the
     frame of this package places them in slot order (lam1, lam4, lam3,
-    lam2).  The four phases sum to zero.
+    lam2), with the signs of _SLOT_SIGNS.  The four phases sum to zero.
     """
-    c1, c2, c3 = _coords(c)
-    return SpectralPhases(
-        c1 - c2 + c3,
-        -c1 + c2 + c3,
-        -(c1 + c2 + c3),
-        c1 + c2 - c3,
-    )
+    lam1, lam4, lam3, lam2 = _slot_phases(_coords(c))
+    return SpectralPhases(lam1, lam2, lam3, lam4)
 
 
 def in_weyl_chamber(c, tol: float = _CHAMBER_SLACK) -> bool:
@@ -230,6 +242,24 @@ def _reduce_with_ops(c):
     return tuple(rep), (tuple(K), tuple(pat), tuple(perm))
 
 
+def _image(element, c) -> tuple:
+    """c's image under the fold element (K, pat, perm), as _reduce_with_ops."""
+    K, pat, perm = element
+    return tuple(pat[i] * (c[i] + K[i] * HALF) for i in perm)
+
+
+@functools.cache
+def _slot_order(pat, perm) -> tuple:
+    """order[j]: the slot of c whose eigenphase lands in slot j of c's
+    image under (K, pat, perm), give or take pi/2 times an integer of the
+    parity of sum(K).  Row j times the image is row r times c + K pi/2,
+    r[i] = row[perm.index(i)] * pat[i], again of product -1: 24 keys."""
+    return tuple(
+        _SLOT_SIGNS.index(tuple(row[perm.index(i)] * pat[i] for i in range(3)))
+        for row in _SLOT_SIGNS
+    )
+
+
 def _snap_to_chamber(cand) -> CanonicalCoords:
     """Clamp sub-1e-12 predicate overshoot so the ordering chain is strict,
     and round a negative c3 through pi/2 as step 1 does, so it refolds to itself."""
@@ -263,13 +293,17 @@ def reduce_to_weyl(c) -> CanonicalCoords:
 _SAME_CLASS_TOL = 1e-7
 
 
+# the fold element c -> (pi/2 - c1, c2, -c3)
+_MIRROR = ((-1, 0, 0), (-1, 1, -1), (0, 1, 2))
+
+
 def _class_match(a, b, tol: float):
     """"direct" or "mirror" if chamber points a and b name one class, else None.
 
     The mirror c -> (pi/2 - c1, c2, -c3) keeps the class on the face
     c1 = pi/4, and rounding decides on which side of it the fold lands.
     """
-    for how, image in (("direct", a), ("mirror", (HALF - a[0], a[1], -a[2]))):
+    for how, image in (("direct", a), ("mirror", _image(_MIRROR, a))):
         if max(abs(p - q) for p, q in zip(image, b)) <= tol:
             return how
     return None
@@ -299,67 +333,6 @@ def coords_equivalent(a, b) -> bool:
     return same_rep and same_inv
 
 
-# Single-qubit fix-ups for the three generator types of the folding
-# group, used when the decomposition needs the chamber representative
-# *and* matching local factors:
-#
-#   shift by k*pi/2 on axis i:
-#       G(c) = e^{-ik pi/2} ((i sigma_i)^{-k} (x) (i sigma_i)^{-k}) G(c + k pi/2 e_i)
-#   sign flip of the two axes != i:
-#       G(c) = e^{i pi} ((i sigma_i) (x) I) G(flip c) ((i sigma_i) (x) I)
-#   transposition of axes j,k (i fixed):
-#       G(c) = (w+ (x) w+) G(swap c) (w (x) w),  w = exp(-i pi/4 sigma_i)
-
-_AXIS_ROT = (rot_x, rot_y, rot_z)
-
-
-def _chamber_locals(cprime, K, pat, perm):
-    """Locals (La, Lb, Ra, Rb), phase, and final triple realizing
-
-        G(cprime) = e^{i phase} (La (x) Lb) G(final) (Ra (x) Rb)
-
-    for the fold element (K, pat, perm).  The locals do not depend on
-    cprime; the table _fixup_products holds their Kronecker products,
-    built by this function once per element.
-    """
-    eye = np.eye(2, dtype=complex)
-    La, Lb, Ra, Rb = eye, eye, eye, eye
-    phase = 0.0
-    cur = np.asarray(cprime, dtype=float).copy()
-    for i in range(3):
-        k = int(K[i])
-        if k == 0:
-            continue
-        u = np.linalg.matrix_power(1j * PAULIS[i], (4 - (k % 4)) % 4)
-        La = La @ u
-        Lb = Lb @ u
-        phase -= k * HALF
-        cur[i] += k * HALF
-    if pat != (1, 1, 1):
-        i = pat.index(1)
-        u = 1j * PAULIS[i]
-        La = La @ u
-        Ra = u @ Ra
-        phase += np.pi
-        cur = cur * np.array(pat)
-    # realize the permutation as transpositions applied left to right
-    target = list(perm)
-    work = list(range(3))
-    for t in range(3):
-        if work[t] == target[t]:
-            continue
-        j = work.index(target[t])
-        i = next(ax for ax in range(3) if ax not in (t, j))
-        w = _AXIS_ROT[i](QUARTER)
-        La = La @ w.conj().T
-        Lb = Lb @ w.conj().T
-        Ra = w @ Ra
-        Rb = w @ Rb
-        cur[[t, j]] = cur[[j, t]]
-        work[t], work[j] = work[j], work[t]
-    return (La, Lb, Ra, Rb), phase, cur
-
-
 def extract_coordinates(g) -> CanonicalCoords:
     """Chamber coordinates of the class of an arbitrary two-qubit gate.
 
@@ -385,17 +358,18 @@ def extract_coordinates(g) -> CanonicalCoords:
 
 
 def _read_class(g):
-    """(invariants, coords, normalized matrix, frame, lam, (K, pat, perm)).
+    """(invariants, coords, Ub, frame, lam, (K, pat, perm)).
 
     The one spectral reading of g (see extract_coordinates), memoized on
-    the gate: one normalization, Gram matrix, joint eigensolve and fold.
-    The fold's bookkeeping is checked within 1e-10, and the chamber point
-    against the Gram invariants within 1e-7."""
+    the gate: one normalization, magic-frame matrix Ub, Gram matrix, joint
+    eigensolve (eigenvectors frame, eigenphases lam) and fold.  The fold's
+    bookkeeping is checked within 1e-10, the point against the Gram
+    invariants within 1e-7."""
     gate = _gate("g", g)
     if gate._reading is not None:
         return gate._reading
-    normalized = su4_normalize(gate)
-    m = m_matrix(normalized)
+    ub = _magic(su4_normalize(gate).matrix)
+    m = ub.T @ ub
     target = _gram_invariants(m)
     frame, diagonal = _joint_diagonalize(m)
     lam = -np.angle(diagonal) / 2.0
@@ -405,74 +379,52 @@ def _read_class(g):
     if round(total / math.pi) % 2 != 0:
         lam[0] -= math.copysign(math.pi, total)
     raw = _raw_core(lam.tolist())
-    cand, (K, pat, perm) = _reduce_with_ops(raw)
-    moved = [pat[i] * (raw[i] + K[i] * HALF) for i in perm]
-    if max(abs(x - y) for x, y in zip(moved, cand)) > 1e-10:
-        raise ConsistencyError("chamber fix-up bookkeeping mismatch")
+    cand, fold = _reduce_with_ops(raw)
+    if max(abs(x - y) for x, y in zip(_image(fold, raw), cand)) > 1e-10:
+        raise ConsistencyError("fold bookkeeping mismatch")
     rep = _snap_to_chamber(cand)
     got = invariants_from_coords(rep)
     if abs(got.g1 - target.g1) > 1e-7 or abs(got.g2 - target.g2) > 1e-7:
         raise ConsistencyError(
             f"coordinates {tuple(rep)} do not reproduce the gate invariants"
         )
-    return _memoize(gate, (target, rep, normalized.matrix, frame, lam, (K, pat, perm)))
+    return _memoize(gate, (target, rep, ub, frame, lam, fold))
 
 
-@functools.cache
-def _fixup_products(k4, pat, perm):
-    """(kron2(La, Lb), kron2(Ra, Rb)) of _chamber_locals for one fold element.
+def _kak_locals(gate: GateMatrix, element=None):
+    """One KAK decomposition into unsplit 4x4 locals: (left, point, right, phases).
 
-    The locals depend on the group element alone, and on each shift K
-    only through K mod 4 (the power of i sigma_i), so the key is
-    (K mod 4, pat, perm): 64 x 4 x 6 = 1,536 entries at most, filled as
-    folds reach them.  A raw core of _read_class has |K| <= 3, so
-    K mod 4 is 0 exactly when K is, and the products are the bits
-    _chamber_locals gives for K itself.  Both are read-only.
+    left . G(point) . right reproduces gate up to a global phase, which
+    the caller reads off the overlap; left and right are local with
+    determinant 1.  point is the chamber point, or its image under a
+    fold element (K, pat, perm); phases are its slot phases, read-only.
+    Built from the memoized reading alone: the reading's frame, its
+    columns in the slot order of the fold (and element) and made proper,
+    is the right local in the magic frame; the left is Ub times it
+    divided by the point's slot phases, times -i when the pi/2 shifts
+    add up odd, and must be real within 1e-7.
     """
-    (la, lb, ra, rb), _, _ = _chamber_locals((0.0, 0.0, 0.0), k4, pat, perm)
-    left, right = kron2(la, lb), kron2(ra, rb)
-    left.setflags(write=False)
-    right.setflags(write=False)
-    return left, right
-
-
-def _kak_locals(gate: GateMatrix):
-    """One KAK decomposition into unsplit 4x4 locals: (left, core, right, lam).
-
-    left . G(core) . right reproduces gate up to a global phase, which
-    the caller reads off the overlap with the gate; left and right are
-    local with determinant 1, and core is the chamber point.  Built from
-    the gate's memoized reading, with no normalization, eigensolve or
-    fold of its own: in the magic frame Ub, the reading's frame (made
-    proper) is the right local, the left is recovered by division and
-    must be real within 1e-7, and the fold element's fix-ups, from the
-    table _fixup_products, carry the raw core to the chamber point.
-    """
-    _, core, u, frame, lam, (K, pat, perm) = _read_class(gate)
+    _, point, ub, frame, _, (K, pat, perm) = _read_class(gate)
+    order, shifts = _slot_order(pat, perm), sum(K)
+    if element is not None:
+        point = CanonicalCoords(*_image(element, point))
+        order = tuple(order[j] for j in _slot_order(*element[1:]))
+        shifts += sum(element[0])
+    frame = frame[:, order]
     if np.linalg.det(frame) < 0:
-        frame = frame.copy()
         frame[:, 0] = -frame[:, 0]
-    d = np.exp(-1j * lam)
-
-    q = MAGIC_FRAME
-    ub = q.conj().T @ u @ q
-    o1 = (ub @ frame) * d.conj()[None, :]
+    phases = np.array(_slot_phases(point))
+    o1 = (ub @ frame) * np.exp(1j * (phases - HALF * (shifts % 2)))[None, :]
     imag_leak = np.abs(o1.imag).max()
     if imag_leak > 1e-7:
         raise ConsistencyError(
             f"left factor is not real orthogonal (imaginary part {imag_leak:.3e})"
         )
-    a_left = q @ o1.real @ q.conj().T
-    a_right = q @ frame.T @ q.conj().T
-
-    left, right = _fixup_products(tuple(k % 4 for k in K), pat, perm)
-    return a_left @ left, core, right @ a_right, lam
-
-
-def _raw_core(lam) -> list:
-    """The unfolded core of the magic-frame eigenphases, whose diagonal
-    slots carry (lam1, lam4, lam3, lam2)."""
-    return [(lam[0] + lam[1]) / 2, (lam[3] + lam[1]) / 2, (lam[0] + lam[3]) / 2]
+    q = MAGIC_FRAME
+    left = q @ o1.real @ q.conj().T
+    right = q @ frame.T @ q.conj().T
+    phases.setflags(write=False)
+    return left, point, right, phases
 
 
 def kak_decompose(g) -> KakFactors:
@@ -480,20 +432,20 @@ def kak_decompose(g) -> KakFactors:
 
     The decomposition itself is _kak_locals (see there), built from the
     gate's one reading, so core is extract_coordinates(g) bit for bit.
-    This function adds three self-checks and the split: the eigenphases
-    must assemble into canonical_gate of the raw core within 1e-9; both
+    This function adds three self-checks and the split: the core's slot
+    phases must assemble into canonical_gate(core) within 1e-9; both
     locals are split into SU(2) tensor factors; and the factors must
     reassemble into the input within 1e-6, with the global phase read
-    off their overlap.  synthesize calls _kak_locals directly and lets
-    its own dressed-circuit residual stand in for these checks; both
-    share the reading memoized on a GateMatrix.
+    off their overlap.  synthesize and witness_basis_for_gate call
+    _kak_locals directly, each certifying its own result in place of
+    these checks; all share the reading memoized on a GateMatrix.
     """
     gate = _gate("g", g)
-    left, core, right, lam = _kak_locals(gate)
+    left, core, right, phases = _kak_locals(gate)
 
     q = MAGIC_FRAME
     core_check = np.abs(
-        q @ np.diag(np.exp(-1j * lam)) @ q.conj().T - canonical_gate(_raw_core(lam)).matrix
+        q @ np.diag(np.exp(-1j * phases)) @ q.conj().T - canonical_gate(core).matrix
     ).max()
     if core_check > 1e-9:
         raise ConsistencyError(
@@ -503,9 +455,9 @@ def kak_decompose(g) -> KakFactors:
     a1, b1 = split_local(left)
     a2, b2 = split_local(right)
 
-    # the SU(2) splits fix each factor only up to a joint sign, so read
-    # the global phase off the overlap with the input instead of
-    # accumulating it through the fix-ups
+    # the SU(2) splits fix each factor only up to a joint sign, and
+    # _kak_locals drops the phase of the frame's column order, so read
+    # the global phase off the overlap with the input
     recon = kron2(a1, b1) @ canonical_gate(core).matrix @ kron2(a2, b2)
     overlap = (gate.matrix * recon.conj()).sum()
     phase = float(np.angle(overlap))

@@ -51,10 +51,14 @@ class LocalInvariants(NamedTuple):
     g2: float
 
 
+def _magic(u: np.ndarray) -> np.ndarray:
+    """Ub = Q+ u Q: the 4x4 array u in the magic frame."""
+    return MAGIC_FRAME.conj().T @ u @ MAGIC_FRAME
+
+
 def m_matrix(g) -> np.ndarray:
     """The magic-frame Gram matrix m = (Q+ U Q)^T (Q+ U Q)."""
-    u = _gate("g", g).matrix
-    ub = MAGIC_FRAME.conj().T @ u @ MAGIC_FRAME
+    ub = _magic(_gate("g", g).matrix)
     return ub.T @ ub
 
 

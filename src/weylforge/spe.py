@@ -22,14 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import GateMatrix, _array, _gate, _real, kron2
+from .linalg import ConsistencyError, GateMatrix, _array, _gate, _real
 from .canonical import (
     QUARTER,
     CanonicalCoords,
-    _chamber_locals,
     _chamber_point,
+    _kak_locals,
     canonical_gate,
-    kak_decompose,
 )
 from .entangle import _concurrence, _per_batch, _sample_run
 from .invariants import _CHAMBER_SLACK
@@ -123,9 +122,8 @@ def witness_basis(theta: float, p) -> WitnessBasis:
     return WitnessBasis(theta=theta, phi=phi, states=states, a=a, b=complex(b))
 
 
-# the fold's (shift, sign pattern, permutation) from (0, pi/4, phi) to
-# the segment point (pi/4, phi, 0)
-_REP_TO_SEGMENT = ((0, 0, 0), (1, 1, 1), (1, 2, 0))
+# the fold element from the segment point (pi/4, phi, 0) to (0, pi/4, phi)
+_TO_REPRESENTATIVE = ((0, 0, 0), (1, 1, 1), (2, 0, 1))
 
 
 def witness_basis_for_gate(g, theta: float):
@@ -134,28 +132,27 @@ def witness_basis_for_gate(g, theta: float):
     The witness construction is tied to the representative
     canonical_gate(0, pi/4, phi); entanglement of an image is not a
     class property, so for any other member the basis must be carried
-    through the decomposition locals rather than reused as is.  Returns
-    the four transported basis vectors as rows.
+    through the locals of g = e^{it} L G(0, pi/4, phi) R: the basis is
+    pre-rotated by R+.  Returns the four transported basis vectors as
+    rows; an image of concurrence below 1 - 1e-9 is a ConsistencyError.
 
     Raises ValueError when theta is not a finite real number, or when g
     is not a special perfect entangler.
     """
     theta = _real("theta", theta)
-    factors = kak_decompose(g)
-    if not is_spe(factors.core):
+    gate = _gate("g", g)
+    if not is_spe(gate):
         raise ValueError(
-            f"gate with canonical coordinates {tuple(factors.core)} is not "
-            "a special perfect entangler"
+            f"gate with canonical coordinates {tuple(_chamber_point(gate))} is "
+            "not a special perfect entangler"
         )
-    phi = factors.core.c2
-    # G(0, pi/4, phi) = e^{it} (la (x) lb) G(pi/4, phi, 0) (ra (x) rb) by
-    # one fixed permutation, whatever phi
-    (_, _, ra, rb), _, _ = _chamber_locals((0.0, QUARTER, phi), *_REP_TO_SEGMENT)
-    base = witness_basis(theta, phi).states
-    # g = phase . (left locals) . G(0,pi/4,phi) . (ra+ a2 (x) rb+ b2),
-    # so pre-rotating the basis by the inverse right local lines it up
-    right = kron2(ra.conj().T @ factors.a2, rb.conj().T @ factors.b2)
-    transported = base @ right.conj()
+    _, point, right, _ = _kak_locals(gate, _TO_REPRESENTATIVE)
+    transported = witness_basis(theta, point.c3).states @ right.conj()
+    worst = min(_concurrence(v) for v in transported @ gate.matrix.T)
+    if worst < 1 - 1e-9:
+        raise ConsistencyError(
+            f"transported witness basis has an image of concurrence {worst:.12f}"
+        )
     transported.setflags(write=False)
     return transported
 

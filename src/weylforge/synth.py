@@ -65,12 +65,12 @@ from .linalg import (
 )
 from .invariants import _CHAMBER_SLACK, invariants_from_coords
 from .canonical import (
+    _MIRROR,
     _SAME_CLASS_TOL,
     QUARTER,
     CanonicalCoords,
     _chamber_point,
     _class_match,
-    _fixup_products,
     _kak_locals,
     _read_class,
     _target,
@@ -376,11 +376,8 @@ def synthesize(target, p) -> Circuit:
         )
 
     if how == "mirror":
-        # the fold's fix-ups give G(inner) = e^{it} (la (x) lb) G(m)
-        # (ra (x) rb) with m = (pi/2 - c1, c2, -c3), the target's point,
-        # for the fold element K = (-1, 0, 0) (key 3 mod 4), pat (-1, 1, -1)
-        left, right = _fixup_products((3, 0, 0), (-1, 1, -1), (0, 1, 2))
-        p1, p2 = p1 @ left, right @ p2
+        # M onto the mirror of inner, the target's point, off M's memo
+        p1, _, p2, _ = _kak_locals(core_m, _MIRROR)
     # with the target g = e^{ig} A1 G(chamber) A2 and M = e^{ib} P1 G(chamber) P2,
     #   g = e^{i(g-b)} (A1 P1+) M (P2+ A2)
     # where the phase is read off the overlap with g

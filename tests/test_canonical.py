@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weylforge.canonical as canonical
+import weylforge.spe as spe
 from weylforge import (
     CanonicalCoords,
     ConsistencyError,
@@ -18,6 +19,7 @@ from weylforge import (
     kron2,
     reduce_to_weyl,
     spectral_phases,
+    split_local,
 )
 from weylforge.invariants import MAGIC_FRAME, invariants_from_coords
 from weylforge.linalg import PAULIS
@@ -232,13 +234,6 @@ def test_fold_is_bit_idempotent_on_faces_and_edges(u, v, w, face, perm, pat, k):
     _assert_fold_is_bit_idempotent(image)
 
 
-def test_chamber_locals_replay_the_fold():
-    for c in _fold_cases():
-        rep, ops = canonical._reduce_with_ops(c)
-        _, _, replayed = canonical._chamber_locals(c, *ops)
-        assert np.abs(replayed - np.asarray(rep)).max() < 1e-10, (c, ops)
-
-
 # Reference for the Python-float fold: the numpy fold it replaced, kept
 # verbatim.  The two must agree bit for bit, ops included.
 def _numpy_fold(c):
@@ -354,24 +349,6 @@ def test_the_mirror_identifies_only_the_face():
     assert canonical._class_match(near, near, 1e-9) == "direct"
     assert canonical._class_match(near, (QUARTER, 0.3, 0.1), 1e-9) == "mirror"
     assert canonical._class_match(near, (QUARTER, 0.3, 0.1 + 1e-8), 1e-9) is None
-
-
-def test_chamber_locals_realize_the_mirror():
-    # G(c) = e^{i t} (La (x) Lb) G(pi/2 - c1, c2, -c3) (Ra (x) Rb)
-    rng = np.random.default_rng(1)
-    for t in mirror_face_targets(count=10):
-        c = (t.c1 - rng.uniform(0.0, 1e-12), t.c2, t.c3)
-        (la, lb, ra, rb), phase, mirrored = canonical._chamber_locals(
-            c, (-1, 0, 0), (-1, 1, -1), (0, 1, 2)
-        )
-        assert np.abs(mirrored - (np.pi / 2 - c[0], c[1], -c[2])).max() < 1e-15
-        recon = (
-            np.exp(1j * phase)
-            * kron2(la, lb)
-            @ canonical_gate(mirrored).matrix
-            @ kron2(ra, rb)
-        )
-        assert np.abs(recon - canonical_gate(c).matrix).max() < 1e-14
 
 
 @pytest.mark.parametrize("name,expected", sorted(KNOWN_COORDS.items()))
@@ -505,17 +482,16 @@ def test_the_pe_flag_of_a_gate_is_that_of_its_decomposition_core(plane):
         assert is_perfect_entangler(GateMatrix(u)) == is_perfect_entangler(core), core
 
 
-# ------------------------------------------------------ memo and fix-up table
+# ---------------------------------------------------- memo and fold elements
 
 
 def test_cached_arrays_reject_writes():
     rng = np.random.default_rng(120)
     g = GateMatrix(dressed(chamber_point(rng), rng))
     left, core, right, lam = canonical._kak_locals(g)
-    assert canonical._kak_locals(g)[3] is lam
     reading = canonical._read_class(g)
     _, coords, unitary, frame, _, _ = reading
-    for arr in (lam, unitary, frame, *canonical._fixup_products((1, 0, 3), (1, -1, -1), (2, 0, 1))):
+    for arr in (lam, unitary, frame):
         with pytest.raises(ValueError):
             arr[0] = 0
     # the reading is memoized, and the gate takes no new slot values
@@ -524,17 +500,82 @@ def test_cached_arrays_reject_writes():
         g._reading = None
 
 
-def test_fixup_table_is_the_product_of_the_chamber_locals():
-    # every key (K mod 4, even sign pattern, permutation) gives bit for
-    # bit the products of _chamber_locals' locals, for K mod 4 and for
-    # the negative shift of the same residue (raw cores have |K| <= 3)
-    patterns = [(1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1)]
-    keys = list(product(product(range(4), repeat=3), patterns, permutations(range(3))))
-    assert len(keys) == 1536
-    for k4, pat, perm in keys:
-        left, right = canonical._fixup_products(k4, pat, perm)
-        for K in (k4, tuple(k - 4 if k else 0 for k in k4)):
-            (la, lb, ra, rb), _, _ = canonical._chamber_locals((0.3, 0.2, 0.1), K, pat, perm)
-            assert left.tobytes() == kron2(la, lb).tobytes(), (K, pat, perm)
-            assert right.tobytes() == kron2(ra, rb).tobytes(), (K, pat, perm)
-    assert canonical._fixup_products.cache_info().currsize == 1536
+_SIGN_PATTERNS_EVEN = [(1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1)]
+_ELEMENT_KEYS = list(product(_SIGN_PATTERNS_EVEN, permutations(range(3))))
+
+
+def _reassembly(g, left, point, right):
+    """max |e^{it} left . G(point) . right - g| at the overlap phase t."""
+    recon = left @ canonical_gate(point).matrix @ right
+    phase = np.angle((g.matrix * recon.conj()).sum())
+    return np.abs(np.exp(1j * phase) * recon - g.matrix).max()
+
+
+@pytest.mark.parametrize("K", [(0, 0, 0), (1, -2, 0), (-1, 0, 0), (2, 1, 1)])
+def test_kak_locals_land_on_every_fold_image(K):
+    # every (pat, perm), with shifts of both parities, on random classes
+    # and on every face, edge and corner: the point is the element's
+    # image of the chamber point, and the locals rebuild the gate
+    rng = np.random.default_rng([126, *map(abs, K)])
+    classes = [chamber_point(rng) for _ in range(4)] + boundary_classes(rng, 1)
+    assert len(_ELEMENT_KEYS) == 24
+    for c in classes:
+        g = GateMatrix(dressed(c, rng))
+        chamber = extract_coordinates(g)
+        for pat, perm in _ELEMENT_KEYS:
+            element = (K, pat, perm)
+            left, point, right, phases = canonical._kak_locals(g, element)
+            assert point == canonical._image(element, chamber), (c, element)
+            assert phases.tolist() == canonical._slot_phases(point)
+            assert _reassembly(g, left, point, right) < 1e-12, (c, element)
+            split_local(left)
+            split_local(right)
+
+
+def test_slot_order_replays_the_fold():
+    # slot j of the folded point carries slot order[j] of the raw point,
+    # shifted by a multiple of pi/2 of the parity of sum(K)
+    for c in _fold_cases():
+        rep, (K, pat, perm) = canonical._reduce_with_ops(c)
+        order = canonical._slot_order(pat, perm)
+        raw = canonical._slot_phases(c)
+        for j, phase in enumerate(canonical._slot_phases(rep)):
+            n = (phase - raw[order[j]]) / HALF
+            assert abs(n - round(n)) < 1e-9, (c, j)
+            assert round(n) % 2 == sum(K) % 2, (c, j)
+
+
+def test_slot_phases_keep_the_closed_form_bits():
+    # the sign table reproduces the closed forms it replaced, bit for bit,
+    # and _raw_core inverts it on phases that sum to zero
+    rng = np.random.default_rng(127)
+    for c in [rng.uniform(-2 * np.pi, 2 * np.pi, size=3) for _ in range(500)]:
+        c1, c2, c3 = map(float, c)
+        closed = (c1 - c2 + c3, -c1 + c2 + c3, -(c1 + c2 + c3), c1 + c2 - c3)
+        assert [v.hex() for v in spectral_phases(c)] == [v.hex() for v in closed]
+        core = canonical._raw_core(canonical._slot_phases((c1, c2, c3)))
+        assert np.abs(np.subtract(core, c)).max() < 1e-14
+
+
+def test_kak_locals_reach_the_mirror_on_the_face():
+    # just inside the face c1 = pi/4, the class is also named by the
+    # mirror (pi/2 - c1, c2, -c3), which synthesis may need to hit
+    rng = np.random.default_rng(128)
+    for t in mirror_face_targets(count=10):
+        c = (t.c1 - rng.uniform(0.0, 1e-12), t.c2, t.c3)
+        for g in (canonical_gate(c), GateMatrix(dressed(c, rng))):
+            chamber = extract_coordinates(g)
+            left, point, right, _ = canonical._kak_locals(g, canonical._MIRROR)
+            assert point == (HALF - chamber.c1, chamber.c2, -chamber.c3)
+            assert _reassembly(g, left, point, right) < 1e-12, c
+
+
+def test_kak_locals_reach_the_witness_representative_along_the_segment():
+    # an SPE decomposes onto (0, pi/4, phi), the witness construction's
+    # representative, by one fixed element whatever phi
+    rng = np.random.default_rng(129)
+    for phi in (0.0, 1e-9, 0.3, np.pi / 8, QUARTER - 1e-9, QUARTER):
+        for g in (canonical_gate((QUARTER, phi, 0.0)), GateMatrix(dressed((QUARTER, phi, 0.0), rng))):
+            left, point, right, _ = canonical._kak_locals(g, spe._TO_REPRESENTATIVE)
+            assert np.abs(np.subtract(point, (0.0, QUARTER, phi))).max() < 1e-12, phi
+            assert _reassembly(g, left, point, right) < 1e-12, phi

@@ -53,17 +53,18 @@ def test_analyze_json_report(capsys):
 
 
 def _count_gram_builds(monkeypatch):
-    """Count m_matrix calls through every weylforge module that binds it."""
+    """Count magic-frame changes, one per Gram matrix (the reading's and
+    m_matrix's), through every weylforge module that binds it."""
     calls = [0]
-    original = invariants.m_matrix
+    original = invariants._magic
 
-    def counting(g):
+    def counting(u):
         calls[0] += 1
-        return original(g)
+        return original(u)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("weylforge") and getattr(mod, "m_matrix", None) is original:
-            monkeypatch.setattr(mod, "m_matrix", counting)
+        if name.startswith("weylforge") and getattr(mod, "_magic", None) is original:
+            monkeypatch.setattr(mod, "_magic", counting)
     return calls
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import weylforge.spe as spe
 from weylforge import (
+    ConsistencyError,
     GateMatrix,
     SpeParams,
     canonical_gate,
@@ -16,8 +18,6 @@ from weylforge import (
     witness_basis,
     witness_basis_for_gate,
 )
-from weylforge.canonical import _chamber_locals
-from weylforge.spe import _REP_TO_SEGMENT
 from weylforge.gates import CNOT, NAMED_GATES, SQRT_SWAP, SWAP
 
 from conftest import boundary_classes, chamber_point, dressed, haar_state, haar_su2
@@ -175,18 +175,45 @@ def test_witness_transport_stays_maximal_along_the_segment():
                 assert check_basis_images(g, basis).min() >= 1 - 1e-9, (phi, theta)
 
 
-def test_the_representative_reaches_the_segment_by_one_fixed_operation():
-    # G(0, pi/4, phi) = e^{it} (la (x) lb) G(pi/4, phi, 0) (ra (x) rb)
-    # with locals that do not depend on phi
-    for phi in (0.0, 1e-9, 0.3, np.pi / 8, QUARTER - 1e-9, QUARTER):
-        (la, lb, ra, rb), t, final = _chamber_locals(
-            (0.0, QUARTER, phi), *_REP_TO_SEGMENT
-        )
-        assert np.array_equal(final, (QUARTER, phi, 0.0))
-        recon = np.exp(1j * t) * (
-            kron2(la, lb) @ canonical_gate((QUARTER, phi, 0.0)).matrix @ kron2(ra, rb)
-        )
-        assert np.abs(recon - canonical_gate((0.0, QUARTER, phi)).matrix).max() < 1e-14
+def test_witness_basis_for_a_fresh_gate_reads_it_once(monkeypatch):
+    # one eigensolve, and no split or full decomposition: the basis is
+    # transported by the 4x4 right local onto (0, pi/4, phi)
+    from test_synth import _count_calls
+
+    rng = np.random.default_rng(130)
+    g = GateMatrix(dressed((QUARTER, 0.3, 0.0), rng))
+    counts = _count_calls(
+        monkeypatch,
+        ("linalg._joint_diagonalize", "linalg.split_local", "canonical.kak_decompose"),
+    )
+    basis = witness_basis_for_gate(g, 0.4)
+    assert counts == {
+        "linalg._joint_diagonalize": 1,
+        "linalg.split_local": 0,
+        "canonical.kak_decompose": 0,
+    }
+    assert check_basis_images(g, basis).min() >= 1 - 1e-9
+
+
+def test_witness_transport_refuses_a_non_spe_before_decomposing(monkeypatch):
+    from test_synth import _count_calls
+
+    rng = np.random.default_rng(131)
+    counts = _count_calls(monkeypatch, ("canonical._kak_locals",))
+    for c in ((0.2, 0.1, 0.05), (QUARTER, 0.3, 1e-6)):
+        with pytest.raises(ValueError, match="not a special perfect entangler"):
+            witness_basis_for_gate(dressed(c, rng), theta=0.5)
+    assert counts == {"canonical._kak_locals": 0}
+
+
+def test_witness_transport_certifies_its_images(monkeypatch):
+    # a right local onto the segment point (pi/4, phi, 0) instead of
+    # (0, pi/4, phi) misaligns the basis, and the image check says so
+    original = spe._kak_locals
+    monkeypatch.setattr(spe, "_kak_locals", lambda gate, element: original(gate))
+    rng = np.random.default_rng(132)
+    with pytest.raises(ConsistencyError, match="concurrence"):
+        witness_basis_for_gate(dressed((QUARTER, 0.3, 0.0), rng), theta=0.5)
 
 
 def test_witness_transport_rejects_non_spe_gates():

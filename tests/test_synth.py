@@ -800,20 +800,20 @@ _READINGS = ("coords", "invariants", "pe", "circuit", "kak")
 
 def test_one_gate_is_read_once_whatever_the_order(monkeypatch):
     # classification, synthesis and decomposition of one gate share its
-    # one reading: the target's Gram matrix and eigensolve plus the core
-    # product's make 2 m_matrix and 2 diagonalizer calls
+    # one reading: the target's magic-frame matrix and eigensolve plus the
+    # core product's make 2 magic-frame changes and 2 diagonalizer calls
     rng = np.random.default_rng(121)
     u = dressed(chamber_point(rng), rng)
     # each reading on a gate of its own: nothing shared
     want = {name: _gate_outputs(GateMatrix(u), [name])[name] for name in _READINGS}
     counts = _count_calls(
-        monkeypatch, ("invariants.m_matrix", "linalg._joint_diagonalize")
+        monkeypatch, ("invariants._magic", "linalg._joint_diagonalize")
     )
     for order in itertools.permutations(_READINGS):
         counts.update(dict.fromkeys(counts, 0))
         got = _gate_outputs(GateMatrix(u), order)
         assert counts == {
-            "invariants.m_matrix": 2,
+            "invariants._magic": 2,
             "linalg._joint_diagonalize": 2,
         }, order
         assert got == want, order
